@@ -57,11 +57,13 @@ from .rscode import (
     DistanceReport,
     RSCodeSpec,
     ReceivedWord,
+    SubsetSumTable,
     count_Nu,
     deg_k1_deep_hole_test,
     deg_k1_reduction,
     encode,
     error_distance_bf,
+    monomial_word,
     subset_sum_count,
     subset_sum_find,
 )

@@ -39,14 +39,16 @@ from .dickson import (
     value_set_size_formula,
 )
 from .gf import FiniteField, parse_field_spec
-from .polyring import Polynomial, parse_poly_literal
+from .polyring import parse_poly_literal
 from .rscode import (
+    DEFAULT_DP_BUDGET,
+    DEFAULT_SUBSET_BUDGET,
     RSCodeSpec,
     ReceivedWord,
     deg_k1_deep_hole_test,
-    deg_k1_reduction,
     error_distance_bf,
     count_Nu,
+    monomial_word,
 )
 from .sieve import (
     C_k_eval,
@@ -62,9 +64,6 @@ TOL_SLACK = 1e-6
 TOL_IDENTITY = 1e-9
 
 SUITE_NAMES = ("valueset", "preimage", "charsum", "sieve", "deephole", "region")
-
-DEFAULT_BUDGET_SUBSETS = 10**7
-DEFAULT_BUDGET_DP = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +106,8 @@ class ExperimentConfig:
     c1: float = 0.015
     out: str | None = None
     format: str = "json"
-    budget_subsets: int = DEFAULT_BUDGET_SUBSETS
-    budget_dp: int = DEFAULT_BUDGET_DP
+    budget_subsets: int = DEFAULT_SUBSET_BUDGET
+    budget_dp: int = DEFAULT_DP_BUDGET
 
     def selected_suites(self) -> tuple[str, ...]:
         if "all" in self.suites:
@@ -428,8 +427,7 @@ def _run_deephole(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
             bad = None
             total_nu = 0
             for b1 in F.elements():
-                poly = Polynomial(F, (0,) * k + (F.neg(b1), 1))
-                word = ReceivedWord(code, (poly.evaluate(x) for x in D.elems))
+                word = monomial_word(code, b1)
                 res = deg_k1_deep_hole_test(word, cfg.budget_dp)
                 total_nu += count_Nu(code, b1, cfg.budget_dp)
                 if crosscheck:
@@ -651,13 +649,6 @@ def _cmd_charsum(args) -> int:
     return 0 if all_pass else 1
 
 
-def _monomial_word(code: RSCodeSpec, b1: int) -> ReceivedWord:
-    """Evaluations of x^(k+1) - b1*x^k over the code's points."""
-    F = code.field
-    poly = Polynomial(F, (0,) * code.k + (F.neg(b1), 1))
-    return ReceivedWord(code, (poly.evaluate(x) for x in code.points))
-
-
 def _cmd_deephole(args) -> int:
     F = parse_field_spec(args.field)
     spec = DicksonSpec(F, args.n, args.a)
@@ -665,14 +656,14 @@ def _cmd_deephole(args) -> int:
     code = RSCodeSpec.from_evaluation_set(D, args.k)
     words: list[ReceivedWord]
     if args.all_b1:
-        words = [_monomial_word(code, b1) for b1 in F.elements()]
+        words = [monomial_word(code, b1) for b1 in F.elements()]
     elif args.word is not None:
         words = [ReceivedWord(code, json.loads(args.word))]
     elif args.word_poly is not None:
         poly = parse_poly_literal(F, args.word_poly)
         words = [ReceivedWord(code, (poly.evaluate(x) for x in D.elems))]
     elif args.b1 is not None:
-        words = [_monomial_word(code, args.b1)]
+        words = [monomial_word(code, args.b1)]
     else:
         raise SystemExit("deephole: provide --b1, --all-b1, --word, or --word-poly")
     reports = []
@@ -680,11 +671,11 @@ def _cmd_deephole(args) -> int:
         res = deg_k1_deep_hole_test(word, args.budget_dp)
         entry = {
             "k": args.k,
-            "b1": deg_k1_reduction(word),
+            "b1": res.b1,
             "is_deep_hole": res.is_deep_hole,
             "subset": list(res.subset) if res.subset else None,
             "codeword": res.codeword.literal() if res.codeword else None,
-            "n_u": count_Nu(code, deg_k1_reduction(word), args.budget_dp),
+            "n_u": count_Nu(code, res.b1, args.budget_dp),
         }
         # a degree-(k+1) word sits at distance |D|-k or |D|-k-1, nothing else
         if res.is_deep_hole:
@@ -808,9 +799,9 @@ def _add_common(sp, field_required=True):
     sp.add_argument("--format", default=None, choices=("json", "csv"), help="suite output format")
     # budgets default to None so a config file's values are not clobbered
     sp.add_argument("--budget-subsets", type=int, default=None,
-                    help=f"cap on brute-force subset scans (default {DEFAULT_BUDGET_SUBSETS})")
+                    help=f"cap on brute-force subset scans (default {DEFAULT_SUBSET_BUDGET})")
     sp.add_argument("--budget-dp", type=int, default=None,
-                    help=f"cap on subset-sum DP size |D|*r*q (default {DEFAULT_BUDGET_DP})")
+                    help=f"cap on subset-sum DP size |D|*r*q (default {DEFAULT_DP_BUDGET})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -902,9 +893,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command != "suite":  # suite resolves budgets through its config
         if args.budget_subsets is None:
-            args.budget_subsets = DEFAULT_BUDGET_SUBSETS
+            args.budget_subsets = DEFAULT_SUBSET_BUDGET
         if args.budget_dp is None:
-            args.budget_dp = DEFAULT_BUDGET_DP
+            args.budget_dp = DEFAULT_DP_BUDGET
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError) as e:

@@ -15,10 +15,15 @@ For extension fields with q <= 2^16 the field lazily builds exp/log tables
 over a fixed primitive element, so mul/inv/pow are O(1) lookups.  Larger
 fields (supported up to q <= 2^32) fall back to direct polynomial
 arithmetic modulo the defining polynomial.
+
+`FiniteField.kernels()` hands out unchecked add/mul closures for inner
+loops whose inputs were validated once at entry; odd-characteristic
+extensions under the table cap add through Zech logarithms there.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -228,6 +233,7 @@ class FiniteField:
         self._exp = None  # exp/log tables, built lazily
         self._log = None
         self._trace_tab = None
+        self._kernels = None
 
     # -- identity / representation ------------------------------------
 
@@ -358,6 +364,56 @@ class FiniteField:
             b = self._mul_direct(b, b)
             e >>= 1
         return r
+
+    def kernels(self):
+        """(add, mul) on element encodings, without range checks.
+
+        For inner loops whose operands were checked once at their entry;
+        results equal add/mul on valid encodings and are undefined on
+        anything else.  Built on first use; tables are O(q) and only
+        exist under the table cap.
+        """
+        if self._kernels is None:
+            self._kernels = self._build_kernels()
+        return self._kernels
+
+    def _build_kernels(self):
+        p, q = self.p, self.q
+        if self.m == 1:
+            return (lambda x, y: (x + y) % p), (lambda x, y: x * y % p)
+        if q > _TABLE_Q_CAP:
+            # odd characteristic keeps the checked digit loop here
+            return (operator.xor if p == 2 else self.add), self._mul_direct
+        if self._exp is None:
+            self._build_tables()
+        log = self._log
+        exp2 = self._exp * 2  # exp2[i + j] for i, j < q-1 needs no reduction
+
+        def mul(x, y):
+            if x and y:
+                return exp2[log[x] + log[y]]
+            return 0
+
+        if p == 2:
+            return operator.xor, mul
+        # Zech logarithms: 1 + g^d = g^zech[d], and -1 where 1 + g^d = 0
+        zech = [-1] * (q - 1)
+        for d, gd in enumerate(self._exp):
+            s = self.add(1, gd)
+            if s:
+                zech[d] = log[s]
+
+        def add(x, y):
+            # x + y = g^lx * (1 + g^(ly-lx)); a negative index wraps mod q-1
+            if not x:
+                return y
+            if not y:
+                return x
+            lx = log[x]
+            z = zech[log[y] - lx]
+            return exp2[lx + z] if z >= 0 else 0
+
+        return add, mul
 
     def _mul_direct(self, x: int, y: int) -> int:
         if self.p == 2:

@@ -5,6 +5,10 @@ owning field, with no trailing zeros (the zero polynomial has an empty
 coefficient tuple and degree -1, standing in for "minus infinity").
 Everything here is exact and any degree we ever see is at most |D| <= q,
 so the dense O(n^2) algorithms are the right tool.
+
+Coefficients are range-checked when a polynomial is built and evaluation
+points when they come in, so the inner loops run on the field's unchecked
+kernels.
 """
 
 from __future__ import annotations
@@ -66,9 +70,9 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._same_field(other)
-        F = self.field
+        add, _ = self.field.kernels()
         n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(F, (F.add(self.coeff(i), other.coeff(i)) for i in range(n)))
+        return Polynomial(self.field, (add(self.coeff(i), other.coeff(i)) for i in range(n)))
 
     def __neg__(self) -> "Polynomial":
         F = self.field
@@ -82,13 +86,14 @@ class Polynomial:
         F = self.field
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(F)
+        add, mul = F.kernels()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 if b:
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
+                    out[i + j] = add(out[i + j], mul(a, b))
         return Polynomial(F, out)
 
     def scale(self, c: int) -> "Polynomial":
@@ -99,9 +104,10 @@ class Polynomial:
         """Horner evaluation; returns an element encoding."""
         F = self.field
         F._check(x)
+        add, mul = F.kernels()
         acc = 0
         for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
+            acc = add(mul(acc, x), c)
         return acc
 
     def monic(self) -> tuple["Polynomial", int]:
@@ -136,14 +142,19 @@ def lagrange_interpolate(field: FiniteField, points) -> Polynomial:
     if len(set(xs)) != len(xs):
         raise ValueError("repeated x-coordinate in interpolation points")
     F = field
+    for x in xs:
+        F._check(x)
+    for _, y in pts:
+        F._check(y)
+    add, mul = F.kernels()
     # master = prod (X - xi), built incrementally
     master = [1]
     for x in xs:
         nxt = [0] * (len(master) + 1)
         mx = F.neg(x)
         for i, c in enumerate(master):
-            nxt[i + 1] = F.add(nxt[i + 1], c)
-            nxt[i] = F.add(nxt[i], F.mul(c, mx))
+            nxt[i + 1] = add(nxt[i + 1], c)
+            nxt[i] = add(nxt[i], mul(c, mx))
         master = nxt
     out = [0] * max(len(pts), 1)
     for xi, yi in pts:
@@ -153,13 +164,13 @@ def lagrange_interpolate(field: FiniteField, points) -> Polynomial:
         num = [0] * (len(master) - 1)
         carry = 0
         for i in range(len(master) - 1, 0, -1):
-            carry = F.add(master[i], F.mul(carry, xi))
+            carry = add(master[i], mul(carry, xi))
             num[i - 1] = carry
         # denom = num(xi), Horner
         denom = 0
         for c in reversed(num):
-            denom = F.add(F.mul(denom, xi), c)
-        w = F.mul(yi, F.inv(denom))
+            denom = add(mul(denom, xi), c)
+        w = mul(yi, F.inv(denom))
         for i, c in enumerate(num):
-            out[i] = F.add(out[i], F.mul(w, c))
+            out[i] = add(out[i], mul(w, c))
     return Polynomial(F, out)

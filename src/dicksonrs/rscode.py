@@ -17,12 +17,15 @@ positions: the covering radius bound d(u, C) <= |D|-k means the nearest
 codeword agrees with u on at least k positions, so interpolating u on
 those positions rediscovers it.  Subset-sum counting is an exact dynamic
 program over (elements scanned, chosen count, running sum), with big-int
-counts; ordered solution counts multiply by (k+1)!.
+counts; ordered solution counts multiply by (k+1)!.  A code builds that
+table once, for r = k+1, and answers the count and the witness for every
+b1 from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb, factorial
 
@@ -35,11 +38,13 @@ __all__ = [
     "DistanceReport",
     "RSCodeSpec",
     "ReceivedWord",
+    "SubsetSumTable",
     "count_Nu",
     "deg_k1_deep_hole_test",
     "deg_k1_reduction",
     "encode",
     "error_distance_bf",
+    "monomial_word",
     "subset_sum_count",
     "subset_sum_find",
 ]
@@ -71,6 +76,12 @@ class RSCodeSpec:
     @property
     def length(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def subset_sums(self) -> "SubsetSumTable":
+        """Subset-sum table of the points for r = k+1, built on first use
+        and freed with the code; callers apply `_dp_guard` first."""
+        return SubsetSumTable(self.field, self.points, self.k + 1)
 
 
 class ReceivedWord:
@@ -112,6 +123,7 @@ class DistanceReport:
 
 @dataclass(frozen=True)
 class DeepHoleResult:
+    b1: int
     is_deep_hole: bool
     subset: tuple[int, ...] | None = None  # the k+1 roots, when not a deep hole
     codeword: Polynomial | None = None  # v with u_monic - v = prod(x - x_i)
@@ -124,6 +136,13 @@ def encode(code: RSCodeSpec, msg: Polynomial) -> ReceivedWord:
     if msg.degree > code.k - 1:
         raise ValueError(f"message degree {msg.degree} exceeds k-1 = {code.k - 1}")
     return ReceivedWord(code, (msg.evaluate(x) for x in code.points))
+
+
+def monomial_word(code: RSCodeSpec, b1: int) -> ReceivedWord:
+    """Evaluations of x^(k+1) - b1*x^k over the code's points."""
+    F = code.field
+    poly = Polynomial(F, (0,) * code.k + (F.neg(b1), 1))
+    return ReceivedWord(code, (poly.evaluate(x) for x in code.points))
 
 
 def error_distance_bf(word: ReceivedWord, budget: int = DEFAULT_SUBSET_BUDGET) -> DistanceReport:
@@ -175,74 +194,91 @@ def _dp_guard(n_elems: int, r: int, q: int, budget: int):
         )
 
 
+class SubsetSumTable:
+    """Exact r-subset counts of a fixed multiset of elements, every target
+    at once.
+
+    The DP runs over suffixes: after elems[i:] it holds, for each j <= r,
+    the exact number of j-subsets of elems[i:] summing to each s.  Only
+    the final r-row keeps its ints; every (i, j) row is kept as a
+    one-byte-per-cell nonzero mask for the witness backtracking, which
+    scans the sorted elements in order and prefers inclusion, so it finds
+    the lexicographically smallest solution.  |elems|*(r+1)*q cells;
+    guard with `_dp_guard`.
+    """
+
+    def __init__(self, field: FiniteField, elems, r: int):
+        self.field = field
+        self.elems = tuple(sorted(elems))
+        self.r = r
+        q = field.q
+        add, _ = field.kernels()
+        counts = [[1] + [0] * (q - 1)] + [[0] * q] * r
+        nonzero = [[bytes(map(bool, row)) for row in counts]]
+        for e in reversed(self.elems):
+            # taking e leaves t - e for the other j-1; neg also range-checks e
+            minus_e = field.neg(e)
+            idx = [add(t, minus_e) for t in range(q)]
+            counts = [counts[0]] + [
+                [a + take[k] for a, k in zip(row, idx)]
+                for row, take in zip(counts[1:], counts)
+            ]
+            nonzero.append([bytes(map(bool, row)) for row in counts])
+        nonzero.reverse()
+        self._counts = counts[r]
+        self._nonzero = nonzero  # [i][j][s]: some j-subset of elems[i:] sums to s
+
+    def count(self, target: int) -> int:
+        """Number of r-subsets summing to target."""
+        self.field._check(target)
+        return self._counts[target]
+
+    def find(self, target: int) -> tuple[int, ...] | None:
+        """The lexicographically smallest r-subset summing to target, or
+        None; it is re-summed before being returned."""
+        F, nonzero = self.field, self._nonzero
+        F._check(target)
+        if not self._counts[target]:
+            return None
+        picked = []
+        s, j = target, self.r
+        for i, e in enumerate(self.elems):
+            if j == 0:
+                break
+            rest = F.sub(s, e)
+            if nonzero[i + 1][j - 1][rest]:
+                picked.append(e)
+                s, j = rest, j - 1
+        acc = 0
+        for e in picked:
+            acc = F.add(acc, e)
+        assert len(picked) == self.r and acc == target
+        return tuple(picked)
+
+
 def subset_sum_count(
     field: FiniteField, elems, r: int, target: int, budget: int = DEFAULT_DP_BUDGET
 ) -> int:
     """Exact number of r-element subsets of elems summing to target."""
-    elems = sorted(elems)
+    elems = tuple(elems)
     field._check(target)
     _dp_guard(len(elems), r, field.q, budget)
-    # dp[j][s] = #(j-subsets of the scanned prefix with sum s), exact ints;
-    # j runs downward so each element is used at most once
-    dp = [[0] * field.q for _ in range(r + 1)]
-    dp[0][0] = 1
-    for idx, e in enumerate(elems):
-        for j in range(min(r - 1, idx), -1, -1):
-            row, nxt = dp[j], dp[j + 1]
-            for s in range(field.q):
-                c = row[s]
-                if c:
-                    nxt[field.add(s, e)] += c
-    return dp[r][target]
+    return SubsetSumTable(field, elems, r).count(target)
 
 
 def subset_sum_find(
     field: FiniteField, elems, r: int, target: int, budget: int = DEFAULT_DP_BUDGET
 ) -> tuple[int, ...] | None:
-    """One r-subset summing to target, or None.
-
-    Scans elements in encoding order preferring inclusion, so the witness
-    is the lexicographically smallest solution; it is re-summed before
-    being returned.
-    """
-    elems = sorted(elems)
+    """The lexicographically smallest r-subset summing to target, or None."""
+    elems = tuple(elems)
     field._check(target)
-    n = len(elems)
-    _dp_guard(n, r, field.q, budget)
-    # suffix[i][j][s] = can j elements of elems[i:] sum to s
-    suffix = [[[False] * field.q for _ in range(r + 1)] for _ in range(n + 1)]
-    suffix[n][0][0] = True
-    for i in range(n - 1, -1, -1):
-        e = elems[i]
-        for j in range(r + 1):
-            row = suffix[i + 1][j]
-            out = suffix[i][j]
-            for s in range(field.q):
-                if row[s]:
-                    out[s] = True
-            if j < r:
-                row_take = suffix[i + 1][j]
-                out_take = suffix[i][j + 1]
-                for s in range(field.q):
-                    if row_take[s]:
-                        out_take[field.add(s, e)] = True
-    if not suffix[0][r][target]:
-        return None
-    picked = []
-    s, j = target, r
-    for i in range(n):
-        if j == 0:
-            break
-        e = elems[i]
-        rest = field.sub(s, e)
-        if suffix[i + 1][j - 1][rest]:
-            picked.append(e)
-            s, j = rest, j - 1
-    acc = 0
-    for e in picked:
-        acc = field.add(acc, e)
-    assert len(picked) == r and acc == target
-    return tuple(picked)
+    _dp_guard(len(elems), r, field.q, budget)
+    return SubsetSumTable(field, elems, r).find(target)
+
+
+def _code_table(code: RSCodeSpec, budget: int) -> SubsetSumTable:
+    _dp_guard(code.length, code.k + 1, code.field.q, budget)
+    return code.subset_sums
 
 
 def deg_k1_deep_hole_test(
@@ -257,16 +293,16 @@ def deg_k1_deep_hole_test(
     code = word.code
     F = code.field
     b1 = deg_k1_reduction(word)
-    subset = subset_sum_find(F, code.points, code.k + 1, b1, budget)
+    subset = _code_table(code, budget).find(b1)
     if subset is None:
-        return DeepHoleResult(is_deep_hole=True)
+        return DeepHoleResult(b1=b1, is_deep_hole=True)
     monic, _ = word.interp.monic()
     prod = Polynomial(F, (1,))
     for x in subset:
         prod = prod * Polynomial(F, (F.neg(x), 1))
     v = monic - prod
     assert v.degree <= code.k - 1
-    return DeepHoleResult(is_deep_hole=False, subset=subset, codeword=v)
+    return DeepHoleResult(b1=b1, is_deep_hole=False, subset=subset, codeword=v)
 
 
 def count_Nu(
@@ -274,6 +310,5 @@ def count_Nu(
 ) -> int:
     """Ordered distinct-coordinate solutions of x_1+...+x_{k+1} = b1 in D:
     unordered subset count times (k+1)!."""
-    return subset_sum_count(code.field, code.points, code.k + 1, b1, budget) * factorial(
-        code.k + 1
-    )
+    code.field._check(b1)
+    return _code_table(code, budget).count(b1) * factorial(code.k + 1)

@@ -13,13 +13,13 @@ from dicksonrs import (
     C_k_eval,
     C_k_periodic_bound,
     DicksonSpec,
-    Polynomial,
     RSCodeSpec,
     ReceivedWord,
     count_Nu,
     deg_k1_deep_hole_test,
     error_distance_bf,
     main_bound_check,
+    monomial_word,
     preimage_count,
     region_solve,
     sieve_identity_F,
@@ -59,12 +59,6 @@ def deephole_instances(grid_fields):
                     continue
                 out.append((n, RSCodeSpec.from_evaluation_set(D, k)))
     return out
-
-
-def _monomial_word(code, b1):
-    F = code.field
-    poly = Polynomial(F, (0,) * code.k + (F.neg(b1), 1))
-    return ReceivedWord(code, (poly.evaluate(x) for x in code.points))
 
 
 def test_criterion_1_value_set_sizes(grid_fields):
@@ -217,7 +211,7 @@ def test_criterion_7_deep_hole_equivalence(deephole_instances):
         F = code.field
         size = code.length
         for b1 in F.elements():
-            word = _monomial_word(code, b1)
+            word = monomial_word(code, b1)
             dist = error_distance_bf(word).distance
             res = deg_k1_deep_hole_test(word)
             checked += 1

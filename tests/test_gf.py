@@ -1,6 +1,8 @@
 """Field arithmetic against an independent coefficient-list oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicksonrs import FiniteField, TwoAdicData, field_create, parse_field_spec, two_adic
 
@@ -249,3 +251,30 @@ def test_two_adic_divides_exactly():
     for n in range(1, 40):
         t = two_adic(7, n).t
         assert n % (1 << t) == 0 and (n // (1 << t)) % 2 == 1
+
+
+# --- unchecked kernels ------------------------------------------------------
+
+# GF(2^20) is above the table cap, so its kernels take the direct paths
+_KERNEL_FIELDS = {pm: FiniteField(*pm) for pm in [(13, 1), (2, 8), (3, 5), (7, 2), (2, 20)]}
+
+
+@pytest.mark.parametrize("pm", list(_KERNEL_FIELDS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_kernels_match_checked_ops(pm, data):
+    F = _KERNEL_FIELDS[pm]
+    add, mul = F.kernels()
+    x = data.draw(st.integers(0, F.q - 1))
+    y = data.draw(st.sampled_from([0, 1, x, F.neg(x)]) | st.integers(0, F.q - 1))
+    assert add(x, y) == F.add(x, y)
+    assert mul(x, y) == F.mul(x, y)
+
+
+@pytest.mark.parametrize("q", [27, 25, 49])
+def test_zech_add_exhaustive(q, grid_fields):
+    F = grid_fields[q]
+    add, _ = F.kernels()
+    for x in F.elements():
+        for y in F.elements():
+            assert add(x, y) == naive_add(F, x, y)

@@ -11,11 +11,13 @@ from dicksonrs import (
     Polynomial,
     RSCodeSpec,
     ReceivedWord,
+    SubsetSumTable,
     count_Nu,
     deg_k1_deep_hole_test,
     deg_k1_reduction,
     encode,
     error_distance_bf,
+    monomial_word,
     subset_sum_count,
     subset_sum_find,
     value_set,
@@ -31,12 +33,6 @@ def f7():
 def dickson_code_f7(f7):
     # D = {0, 2, 5, 6}, k = 1
     return RSCodeSpec.from_evaluation_set(value_set(DicksonSpec(f7, 2, 1)), 1)
-
-
-def _monomial_word(code, b1):
-    F = code.field
-    poly = Polynomial(F, (0,) * code.k + (F.neg(b1), 1))
-    return ReceivedWord(code, (poly.evaluate(x) for x in code.points))
 
 
 # --- construction and encoding ----------------------------------------------
@@ -115,8 +111,8 @@ def test_distance_budget(f7):
 
 
 def test_b1_reads_coefficient(dickson_code_f7, f7):
-    assert deg_k1_reduction(_monomial_word(dickson_code_f7, 0)) == 0
-    assert deg_k1_reduction(_monomial_word(dickson_code_f7, 5)) == 5
+    assert deg_k1_reduction(monomial_word(dickson_code_f7, 0)) == 0
+    assert deg_k1_reduction(monomial_word(dickson_code_f7, 5)) == 5
 
 
 def test_b1_after_normalization(f7):
@@ -151,22 +147,18 @@ def test_subset_sum_total(f7):
 
 
 def test_subset_sum_matches_enumeration(grid_fields):
-    for q in (7, 8, 9):
+    for q in (7, 8, 9, 25, 27):
         F = grid_fields[q]
         D = tuple(range(0, q, 2))
         for r in (2, 3):
+            table = SubsetSumTable(F, reversed(D), r)  # input order is irrelevant
             for target in F.elements():
-                want = sum(
-                    1
-                    for sub in combinations(D, r)
-                    if _field_sum(F, sub) == target
-                )
-                assert subset_sum_count(F, D, r, target) == want
-                witness = subset_sum_find(F, D, r, target)
-                assert (witness is not None) == (want > 0)
-                if witness is not None:
-                    assert _field_sum(F, witness) == target
-                    assert len(set(witness)) == r
+                # combinations() of a sorted tuple come in lexicographic order
+                hits = [sub for sub in combinations(D, r) if _field_sum(F, sub) == target]
+                assert table.count(target) == len(hits)
+                assert table.find(target) == (hits[0] if hits else None)
+                assert subset_sum_count(F, D, r, target) == len(hits)
+                assert subset_sum_find(F, D, r, target) == table.find(target)
 
 
 def _field_sum(F, elems):
@@ -181,20 +173,35 @@ def test_subset_sum_budget(f7):
         subset_sum_count(f7, (0, 2, 5, 6), 2, 0, budget=10)
 
 
+def test_code_table_built_once_and_guarded(dickson_code_f7):
+    code = dickson_code_f7
+    table = code.subset_sums
+    for b1 in code.field.elements():
+        deg_k1_deep_hole_test(monomial_word(code, b1))
+        count_Nu(code, b1)
+    assert code.subset_sums is table
+    assert table.r == code.k + 1
+    # the budget is checked on every call, also once the table exists
+    with pytest.raises(ValueError):
+        count_Nu(code, 0, budget=10)
+    with pytest.raises(ValueError):
+        deg_k1_deep_hole_test(monomial_word(code, 0), budget=10)
+
+
 # --- deep-hole test --------------------------------------------------------------
 
 
 def test_deep_hole_found(dickson_code_f7):
     # b1 = 3: no pair of {0,2,5,6} sums to 3 mod 7
-    res = deg_k1_deep_hole_test(_monomial_word(dickson_code_f7, 3))
+    res = deg_k1_deep_hole_test(monomial_word(dickson_code_f7, 3))
     assert res.is_deep_hole
-    rep = error_distance_bf(_monomial_word(dickson_code_f7, 3))
+    rep = error_distance_bf(monomial_word(dickson_code_f7, 3))
     assert rep.distance == 4 - 1  # cross-check: distance equals |D| - k
 
 
 def test_not_deep_hole_with_witness(dickson_code_f7, f7):
     # b1 = 0: witness {2, 5}, (x-2)(x-5) = x^2 + 3, so v = -3 = 4
-    res = deg_k1_deep_hole_test(_monomial_word(dickson_code_f7, 0))
+    res = deg_k1_deep_hole_test(monomial_word(dickson_code_f7, 0))
     assert not res.is_deep_hole
     assert res.subset == (2, 5)
     assert res.codeword == Polynomial(f7, [4])
@@ -212,7 +219,7 @@ def test_witness_codeword_distance(dickson_code_f7):
     code = dickson_code_f7
     size = len(code.points)
     for b1 in range(7):
-        word = _monomial_word(code, b1)
+        word = monomial_word(code, b1)
         res = deg_k1_deep_hole_test(word)
         dist = error_distance_bf(word).distance
         if res.is_deep_hole:
