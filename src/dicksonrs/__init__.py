@@ -13,7 +13,7 @@ The package splits along the natural seams of the problem:
 
 __version__ = "0.1.0"
 
-from .gf import FiniteField, TwoAdicData, field_create, parse_field_spec, two_adic
+from .gf import FiniteField, TwoAdicData, parse_field_spec, two_adic
 from .polyring import Polynomial, lagrange_interpolate, parse_poly_literal
 from .dickson import (
     DicksonSpec,

@@ -6,7 +6,8 @@ is +-1 and all sums here are accumulated as exact signed integers, so the
 even-q results carry no floating-point error at all.  For odd p the values
 are double-precision p-th roots of unity; each verified sum has at most
 2^16 terms, so accumulated rounding stays far below the tolerances used
-by the bound checks (1e-6 for inequalities, 1e-9 for identities).
+by the bound checks (TOL_SLACK = 1e-6 for inequalities, TOL_IDENTITY =
+1e-9 for identities).
 
 Summation always runs in element-encoding order, so results are
 deterministic and independent of any partitioning a caller might do.
@@ -35,6 +36,8 @@ from .dickson import DicksonSpec, EvaluationSet, preimage_count, values_vector
 from .gf import FiniteField
 
 __all__ = [
+    "TOL_IDENTITY",
+    "TOL_SLACK",
     "AdditiveCharacter",
     "CharSumReport",
     "char_eval",
@@ -46,6 +49,10 @@ __all__ = [
     "weil_sum_2",
     "weil_sum_3",
 ]
+
+# a bound holds iff slack >= -TOL_SLACK; an identity iff |deviation| <= TOL_IDENTITY
+TOL_SLACK = 1e-6
+TOL_IDENTITY = 1e-9
 
 
 @dataclass(frozen=True)

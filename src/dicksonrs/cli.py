@@ -19,11 +19,14 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
-from math import comb, factorial
+from dataclasses import asdict, dataclass, field as dc_field
+from itertools import product
+from math import comb, factorial, perm
 
 from . import __version__
 from .charsum import (
+    TOL_IDENTITY,
+    TOL_SLACK,
     AdditiveCharacter,
     sum_over_value_set,
     weighted_identity_check,
@@ -60,9 +63,6 @@ from .sieve import (
     sieve_identity_F,
 )
 
-TOL_SLACK = 1e-6
-TOL_IDENTITY = 1e-9
-
 SUITE_NAMES = ("valueset", "preimage", "charsum", "sieve", "deephole", "region")
 
 
@@ -91,6 +91,22 @@ def _format_range(vals: tuple[int, ...]) -> str:
     if len(vals) > 2 and vals == tuple(range(vals[0], vals[-1] + 1)):
         return f"{vals[0]}..{vals[-1]}"
     return ",".join(str(v) for v in vals)
+
+
+# Each suite setting: its config key, which is also its `suite` flag name,
+# and the parser of its text.  Config files and flags both go through here.
+_SETTINGS = {
+    "field": str,
+    "suites": lambda text: tuple(s.strip() for s in text.split(",") if s.strip()),
+    "n": lambda text: _parse_range(text, "n"),
+    "a": lambda text: None if text == "all" else _parse_range(text, "a"),
+    "k": lambda text: _parse_range(text, "k"),
+    "c1": float,
+    "out": str,
+    "format": str,
+    "budget-subsets": int,
+    "budget-dp": int,
+}
 
 
 @dataclass
@@ -155,7 +171,9 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
+    def from_text(cls, text: str, overrides: dict[str, str] | None = None) -> "ExperimentConfig":
+        """Parse key=value lines ('#' starts a comment line); `overrides`, raw
+        strings keyed like the file, replace the file's values."""
         kv = {}
         for raw in text.splitlines():
             line = raw.strip()
@@ -165,41 +183,19 @@ class ExperimentConfig:
                 raise ValueError(f"bad config line (want key=value): {raw!r}")
             key, val = line.split("=", 1)
             kv[key.strip()] = val.strip()
+        kv.update(overrides or {})
+        unknown = sorted(set(kv) - set(_SETTINGS))
+        if unknown:
+            raise ValueError(f"unknown config key(s) {unknown}; keys are {sorted(_SETTINGS)}")
         if "field" not in kv:
-            raise ValueError("config is missing the required key 'field'")
-        cfg = cls(field=kv["field"])
-        if "suites" in kv:
-            cfg.suites = tuple(s.strip() for s in kv["suites"].split(",") if s.strip())
-        if "n" in kv:
-            cfg.n = _parse_range(kv["n"], "n")
-        if "a" in kv:
-            cfg.a = None if kv["a"] == "all" else _parse_range(kv["a"], "a")
-        if "k" in kv:
-            cfg.k = _parse_range(kv["k"], "k")
-        if "c1" in kv:
-            cfg.c1 = float(kv["c1"])
-        if "out" in kv:
-            cfg.out = kv["out"]
-        if "format" in kv:
-            cfg.format = kv["format"]
-        if "budget-subsets" in kv:
-            cfg.budget_subsets = int(kv["budget-subsets"])
-        if "budget-dp" in kv:
-            cfg.budget_dp = int(kv["budget-dp"])
-        return cfg
+            raise ValueError("config is missing the required key 'field' (or --field)")
+        return cls(**{key.replace("-", "_"): _SETTINGS[key](val) for key, val in kv.items()})
 
     def echo(self) -> dict:
-        return {
-            "field": self.field,
-            "suites": list(self.suites),
-            "n": list(self.n),
-            "a": "all" if self.a is None else list(self.a),
-            "k": list(self.k),
-            "c1": self.c1,
-            "format": self.format,
-            "budget_subsets": self.budget_subsets,
-            "budget_dp": self.budget_dp,
-        }
+        doc = asdict(self)
+        del doc["out"]
+        doc["a"] = "all" if self.a is None else self.a
+        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -267,39 +263,33 @@ class RunReport:
         return rows
 
 
-def _grid(cfg: ExperimentConfig, F: FiniteField):
-    for n in cfg.n:
-        for a in cfg.a_values(F):
-            yield n, a
+def _cells(cfg: ExperimentConfig, F: FiniteField, suite: str, out: list, enumerate_=value_set):
+    """Yield (params, spec, enumerate_(spec)) for each (n, a) cell of the grid;
+    a cell whose enumeration exceeds its budget is recorded in `out` as skipped."""
+    for n, a in product(cfg.n, cfg.a_values(F)):
+        params = {"q": F.q, "n": n, "a": a}
+        spec = DicksonSpec(F, n, a)
+        try:
+            values = enumerate_(spec)
+        except ValueError as e:
+            out.append(InstanceResult(suite, params, "skipped", f"skipped: budget ({e})"))
+            continue
+        yield params, spec, values
 
 
 def _run_valueset(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out = []
-    for n, a in _grid(cfg, F):
-        params = {"q": F.q, "n": n, "a": a}
-        spec = DicksonSpec(F, n, a)
+    for params, spec, counts in _cells(cfg, F, "valueset", out, value_counts):
         rep = value_set_size_formula(spec)
-        try:
-            enum_size = len(value_counts(spec))
-        except ValueError as e:
-            out.append(InstanceResult("valueset", params, "skipped", f"skipped: budget ({e})"))
-            continue
-        ok = rep.size == enum_size
-        detail = f"formula={rep.size} enum={enum_size} delta={rep.delta}"
+        ok = rep.size == len(counts)
+        detail = f"formula={rep.size} enum={len(counts)} delta={rep.delta}"
         out.append(InstanceResult("valueset", params, "pass" if ok else "fail", detail))
     return out
 
 
 def _run_preimage(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out = []
-    for n, a in _grid(cfg, F):
-        params = {"q": F.q, "n": n, "a": a}
-        spec = DicksonSpec(F, n, a)
-        try:
-            counts = value_counts(spec)
-        except ValueError as e:
-            out.append(InstanceResult("preimage", params, "skipped", f"skipped: budget ({e})"))
-            continue
+    for params, spec, counts in _cells(cfg, F, "preimage", out, value_counts):
         bad = []
         for x0 in F.elements():
             rep = preimage_count(spec, x0)
@@ -307,14 +297,8 @@ def _run_preimage(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
                 bad.append((x0, rep.count, counts[rep.value]))
         if bad:
             x0, got, want = bad[0]
-            out.append(
-                InstanceResult(
-                    "preimage",
-                    dict(params, x0=x0),
-                    "fail",
-                    f"formula={got} brute={want} (+{len(bad) - 1} more)",
-                )
-            )
+            detail = f"formula={got} brute={want} (+{len(bad) - 1} more)"
+            out.append(InstanceResult("preimage", dict(params, x0=x0), "fail", detail))
         else:
             out.append(InstanceResult("preimage", params, "pass", f"{F.q} points"))
     return out
@@ -322,14 +306,7 @@ def _run_preimage(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
 
 def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out = []
-    for n, a in _grid(cfg, F):
-        params = {"q": F.q, "n": n, "a": a}
-        spec = DicksonSpec(F, n, a)
-        try:
-            D = value_set(spec)
-        except ValueError as e:
-            out.append(InstanceResult("charsum", params, "skipped", f"skipped: budget ({e})"))
-            continue
+    for params, spec, D in _cells(cfg, F, "charsum", out):
         worst_slack = float("inf")
         worst_dev = 0.0
         worst_eq = 0.0
@@ -359,12 +336,8 @@ def _run_sieve(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     ok = all(
         sum(perm_count(t) for t in cycle_types(k)) == factorial(k) for k in range(1, 11)
     )
-    for k in range(1, 11):
-        t = 3
-        rising = 1
-        for j in range(k):
-            rising *= t + j
-        ok = ok and C_k_eval([t] * k) == rising
+    # C_k at a constant argument t is the rising factorial t(t+1)...(t+k-1)
+    ok = ok and all(C_k_eval([3] * k) == perm(k + 2, k) for k in range(1, 11))
     for k in range(1, 8):
         closed, bound = C_k_periodic_bound(2.5, 9.0, 2, k)
         ok = ok and closed <= bound * (1 + 1e-12)
@@ -372,14 +345,7 @@ def _run_sieve(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
         InstanceResult("sieve", {"q": F.q, "check": "global"}, "pass" if ok else "fail",
                        "cycle counts, rising factorial, periodic bound")
     )
-    for n, a in _grid(cfg, F):
-        params = {"q": F.q, "n": n, "a": a}
-        spec = DicksonSpec(F, n, a)
-        try:
-            D = value_set(spec)
-        except ValueError as e:
-            out.append(InstanceResult("sieve", params, "skipped", f"skipped: budget ({e})"))
-            continue
+    for params, spec, D in _cells(cfg, F, "sieve", out):
         if D.size > 12:
             out.append(
                 InstanceResult("sieve", params, "skipped", "skipped: budget (|D| > 12)")
@@ -397,20 +363,37 @@ def _run_sieve(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     return out
 
 
+def _deephole_report(word: ReceivedWord, budget_dp: int, budget_subsets: int | None) -> dict:
+    """Subset-sum decision, N_u and distance of one degree-(k+1) word; with
+    `budget_subsets` also the brute-force distance and whether it agrees."""
+    code = word.code
+    res = deg_k1_deep_hole_test(word, budget_dp)
+    entry = {
+        "k": code.k,
+        "b1": res.b1,
+        "is_deep_hole": res.is_deep_hole,
+        "subset": list(res.subset) if res.subset else None,
+        "codeword": res.codeword.literal() if res.codeword else None,
+        "n_u": count_Nu(code, res.b1, budget_dp),
+    }
+    # a degree-(k+1) word sits at distance |D|-k (deep hole) or |D|-k-1
+    if res.is_deep_hole:
+        entry["distance"] = code.length - code.k
+    else:
+        entry["distance_upper"] = code.length - code.k - 1
+    if budget_subsets is not None:
+        entry["distance"] = error_distance_bf(word, budget_subsets).distance
+        entry["crosscheck_agree"] = (
+            entry["distance"] <= code.length - code.k - 1
+        ) == (not res.is_deep_hole)
+    return entry
+
+
 def _run_deephole(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out = []
-    for n, a in _grid(cfg, F):
-        spec = DicksonSpec(F, n, a)
-        try:
-            D = value_set(spec)
-        except ValueError as e:
-            out.append(
-                InstanceResult("deephole", {"q": F.q, "n": n, "a": a}, "skipped",
-                               f"skipped: budget ({e})")
-            )
-            continue
+    for cell, spec, D in _cells(cfg, F, "deephole", out):
         for k in cfg.k:
-            params = {"q": F.q, "n": n, "a": a, "k": k}
+            params = dict(cell, k=k)
             if k + 2 > D.size:
                 out.append(
                     InstanceResult("deephole", params, "skipped",
@@ -427,18 +410,16 @@ def _run_deephole(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
             bad = None
             total_nu = 0
             for b1 in F.elements():
-                word = monomial_word(code, b1)
-                res = deg_k1_deep_hole_test(word, cfg.budget_dp)
-                total_nu += count_Nu(code, b1, cfg.budget_dp)
-                if crosscheck:
-                    dist = error_distance_bf(word, cfg.budget_subsets).distance
-                    want_not_deep = dist <= D.size - k - 1
-                    if want_not_deep == res.is_deep_hole:
-                        bad = f"b1={b1}: distance {dist} vs subset-sum {res.is_deep_hole}"
-                        break
-            fall = 1
-            for j in range(k + 1):
-                fall *= D.size - j
+                entry = _deephole_report(
+                    monomial_word(code, b1), cfg.budget_dp,
+                    cfg.budget_subsets if crosscheck else None,
+                )
+                total_nu += entry["n_u"]
+                if not entry.get("crosscheck_agree", True):
+                    bad = (f"b1={b1}: distance {entry['distance']} "
+                           f"vs subset-sum {entry['is_deep_hole']}")
+                    break
+            fall = perm(D.size, k + 1)
             if bad is None and total_nu != fall:
                 bad = f"sum N_u = {total_nu} != (|D|)_{{k+1}} = {fall}"
             detail = bad or (
@@ -453,7 +434,7 @@ def _run_deephole(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
 def _run_region(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out = []
     seen = set()
-    for n, a in _grid(cfg, F):
+    for n, a in product(cfg.n, cfg.a_values(F)):
         size_d = value_set_size_formula(DicksonSpec(F, n, a)).size
         key = (n, size_d)
         if key in seen:
@@ -531,15 +512,10 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _charsum_report_dict(rep) -> dict:
-    return {
-        "sum": _complex_pair(rep.sum),
-        "magnitude": rep.magnitude,
-        "bound": rep.bound,
-        "slack": rep.slack,
-        "terms": rep.terms,
-        "bound_applies": rep.bound_applies,
-        "pass": rep.slack >= -TOL_SLACK,
-    }
+    doc = asdict(rep)
+    doc["sum"] = _complex_pair(rep.sum)
+    doc["pass"] = rep.slack >= -TOL_SLACK
+    return doc
 
 
 def _write_output(text: str, out_path: str | None):
@@ -571,16 +547,11 @@ def _cmd_value_set(args) -> int:
     F = parse_field_spec(args.field)
     spec = DicksonSpec(F, args.n, args.a)
     doc = {"q": F.q, "n": args.n, "a": args.a}
-    mode = "both"
-    if args.brute_force:
-        mode = "brute-force"
-    elif args.formula:
-        mode = "formula"
-    if mode in ("formula", "both"):
+    if not args.brute_force:
         rep = value_set_size_formula(spec)
         doc["size_formula"] = rep.size
         doc["delta"] = float(rep.delta)
-    if mode in ("brute-force", "both"):
+    if not args.formula:
         vs = value_set(spec)
         doc["size_enum"] = vs.size
         if args.elems:
@@ -595,15 +566,8 @@ def _cmd_preimage(args) -> int:
     F = parse_field_spec(args.field)
     spec = DicksonSpec(F, args.n, args.a)
     xs = list(F.elements()) if args.all_x0 else [args.x0]
-    if not args.all_x0 and args.x0 is None:
-        raise SystemExit("preimage: provide --x0 ENC or --all-x0")
     reports = [
-        {
-            "x0": rep.x0,
-            "value": rep.value,
-            "count": rep.count,
-            "case": rep.case_label,
-        }
+        {"x0": rep.x0, "value": rep.value, "count": rep.count, "case": rep.case_label}
         for rep in (preimage_count(spec, x0) for x0 in xs)
     ]
     doc = {"q": F.q, "n": args.n, "a": args.a, "reports": reports}
@@ -614,7 +578,7 @@ def _cmd_preimage(args) -> int:
 def _cmd_charsum(args) -> int:
     F = parse_field_spec(args.field)
     spec = DicksonSpec(F, args.n, args.a)
-    bs = list(F.units()) if args.all_characters else [args.b]
+    bs = list(F.units()) if args.all_characters else [1 if args.b is None else args.b]
     reports = []
     all_pass = True
     for b in bs:
@@ -651,44 +615,22 @@ def _cmd_charsum(args) -> int:
 
 def _cmd_deephole(args) -> int:
     F = parse_field_spec(args.field)
-    spec = DicksonSpec(F, args.n, args.a)
-    D = value_set(spec)
+    D = value_set(DicksonSpec(F, args.n, args.a))
     code = RSCodeSpec.from_evaluation_set(D, args.k)
-    words: list[ReceivedWord]
     if args.all_b1:
         words = [monomial_word(code, b1) for b1 in F.elements()]
     elif args.word is not None:
-        words = [ReceivedWord(code, json.loads(args.word))]
+        values = json.loads(args.word)
+        if not isinstance(values, list) or any(type(v) is not int for v in values):
+            raise ValueError("--word must be a JSON array of integer element encodings")
+        words = [ReceivedWord(code, values)]
     elif args.word_poly is not None:
         poly = parse_poly_literal(F, args.word_poly)
         words = [ReceivedWord(code, (poly.evaluate(x) for x in D.elems))]
-    elif args.b1 is not None:
-        words = [monomial_word(code, args.b1)]
     else:
-        raise SystemExit("deephole: provide --b1, --all-b1, --word, or --word-poly")
-    reports = []
-    for word in words:
-        res = deg_k1_deep_hole_test(word, args.budget_dp)
-        entry = {
-            "k": args.k,
-            "b1": res.b1,
-            "is_deep_hole": res.is_deep_hole,
-            "subset": list(res.subset) if res.subset else None,
-            "codeword": res.codeword.literal() if res.codeword else None,
-            "n_u": count_Nu(code, res.b1, args.budget_dp),
-        }
-        # a degree-(k+1) word sits at distance |D|-k or |D|-k-1, nothing else
-        if res.is_deep_hole:
-            entry["distance"] = D.size - args.k
-        else:
-            entry["distance_upper"] = D.size - args.k - 1
-        if args.brute_force_crosscheck:
-            rep = error_distance_bf(word, args.budget_subsets)
-            entry["distance"] = rep.distance
-            entry["crosscheck_agree"] = (
-                rep.distance <= D.size - args.k - 1
-            ) == (not res.is_deep_hole)
-        reports.append(entry)
+        words = [monomial_word(code, args.b1)]
+    budget_subsets = args.budget_subsets if args.brute_force_crosscheck else None
+    reports = [_deephole_report(word, args.budget_dp, budget_subsets) for word in words]
     doc = {
         "q": F.q,
         "n": args.n,
@@ -702,81 +644,34 @@ def _cmd_deephole(args) -> int:
     return 0 if ok else 1
 
 
+def _size_d(args, F: FiniteField) -> int:
+    """--size-d, or else the value-set size formula for D_n(x, a)."""
+    if args.size_d is not None:
+        return args.size_d
+    return value_set_size_formula(DicksonSpec(F, args.n, args.a)).size
+
+
 def _cmd_bound(args) -> int:
     F = parse_field_spec(args.field)
-    size_d = args.size_d
-    if size_d is None:
-        size_d = value_set_size_formula(DicksonSpec(F, args.n, args.a)).size
-    rep = main_bound_check(F.q, args.n, size_d, args.k)
-    doc = {
-        "q": rep.q,
-        "n": rep.n,
-        "size_d": rep.size_d,
-        "k": rep.k,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "log10_lhs": rep.log10_lhs,
-        "log10_rhs": rep.log10_rhs,
-        "guaranteed": rep.guaranteed,
-        "simplified_ok": rep.simplified_ok,
-        "near_tie": rep.near_tie,
-    }
-    _write_output(_dump_json(doc), args.out)
+    rep = main_bound_check(F.q, args.n, _size_d(args, F), args.k)
+    _write_output(_dump_json(asdict(rep)), args.out)
     return 0
 
 
 def _cmd_region(args) -> int:
     F = parse_field_spec(args.field)
-    size_d = args.size_d
-    if size_d is None:
-        size_d = value_set_size_formula(DicksonSpec(F, args.n, args.a)).size
-    region = region_solve(F.q, args.n, size_d, args.c1)
-    doc = {
-        "q": region.q,
-        "n": region.n,
-        "size_d": region.size_d,
-        "c1": region.c1,
-        "c2": region.c2,
-        "k_min": region.k_min,
-        "k_max": region.k_max,
-        "gate_lhs": region.gate_lhs,
-        "gate_rhs": region.gate_rhs,
-        "paper_claim": region.paper_claim,
-    }
-    _write_output(_dump_json(doc), args.out)
+    region = region_solve(F.q, args.n, _size_d(args, F), args.c1)
+    _write_output(_dump_json(asdict(region)), args.out)
     return 0
 
 
 def _cmd_suite(args) -> int:
+    text = ""
     if args.config:
         with open(args.config) as fh:
-            cfg = ExperimentConfig.from_text(fh.read())
-        # explicit flags override the file
-        if args.field is not None:
-            cfg.field = args.field
-        if args.out is not None:
-            cfg.out = args.out
-        if args.format is not None:
-            cfg.format = args.format
-    else:
-        if args.field is None:
-            raise SystemExit("suite: provide --config FILE or --field SPEC")
-        cfg = ExperimentConfig(field=args.field, format=args.format or "json")
-        cfg.out = args.out
-    if args.suites:
-        cfg.suites = tuple(s.strip() for s in args.suites.split(","))
-    if args.n is not None:
-        cfg.n = _parse_range(args.n, "n")
-    if args.a is not None:
-        cfg.a = None if args.a == "all" else _parse_range(args.a, "a")
-    if args.k is not None:
-        cfg.k = _parse_range(args.k, "k")
-    if args.c1 is not None:
-        cfg.c1 = args.c1
-    if args.budget_subsets is not None:
-        cfg.budget_subsets = args.budget_subsets
-    if args.budget_dp is not None:
-        cfg.budget_dp = args.budget_dp
+            text = fh.read()
+    flags = {key: getattr(args, key.replace("-", "_")) for key in _SETTINGS}
+    cfg = ExperimentConfig.from_text(text, {k: v for k, v in flags.items() if v is not None})
     report = run_suite(cfg)
     _write_output(emit(report, cfg.format), cfg.out)
     for s in report.suites:
@@ -790,18 +685,17 @@ def _cmd_suite(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: each subcommand declares exactly the flags its handler reads
 
 
-def _add_common(sp, field_required=True):
-    sp.add_argument("--field", required=field_required, help="field spec: p, p^m, or p^m/c0,...,cm")
+def _add_field(sp, required=True):
+    sp.add_argument("--field", required=required, help="field spec: p, p^m, or p^m/c0,...,cm")
     sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    sp.add_argument("--format", default=None, choices=("json", "csv"), help="suite output format")
-    # budgets default to None so a config file's values are not clobbered
-    sp.add_argument("--budget-subsets", type=int, default=None,
-                    help=f"cap on brute-force subset scans (default {DEFAULT_SUBSET_BUDGET})")
-    sp.add_argument("--budget-dp", type=int, default=None,
-                    help=f"cap on subset-sum DP size |D|*r*q (default {DEFAULT_DP_BUDGET})")
+
+
+def _add_spec(sp, a_default=None):
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--a", type=int, required=a_default is None, default=a_default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -812,78 +706,85 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("field", help="describe a finite field")
-    _add_common(sp)
+    _add_field(sp)
     sp.set_defaults(fn=_cmd_field)
 
     sp = sub.add_parser("value-set", help="value set of D_n(x,a): formula and/or enumeration")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    group = sp.add_mutually_exclusive_group()
+    _add_field(sp)
+    _add_spec(sp)
+    group = sp.add_mutually_exclusive_group()  # neither flag: formula and enumeration
     group.add_argument("--brute-force", action="store_true")
     group.add_argument("--formula", action="store_true")
-    group.add_argument("--both", action="store_true")
     sp.add_argument("--elems", action="store_true", help="include the sorted element list")
     sp.set_defaults(fn=_cmd_value_set)
 
     sp = sub.add_parser("preimage", help="exact preimage counts with case labels")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--x0", type=int, default=None)
-    sp.add_argument("--all-x0", action="store_true")
+    _add_field(sp)
+    _add_spec(sp)
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--x0", type=int)
+    group.add_argument("--all-x0", action="store_true")
     sp.set_defaults(fn=_cmd_preimage)
 
     sp = sub.add_parser("charsum", help="character sums and their bounds")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
+    _add_field(sp)
+    _add_spec(sp)
     sp.add_argument("--which", required=True,
                     choices=("lemma", "weil1", "weil2", "weil3", "identity"))
-    sp.add_argument("--b", type=int, default=1, help="character twist (default 1)")
-    sp.add_argument("--all-characters", action="store_true")
+    group = sp.add_mutually_exclusive_group()
+    # no argparse default: a value equal to it would not count as given, so
+    # "--b 1 --all-characters" would pass the exclusion check
+    group.add_argument("--b", type=int, help="character twist (default 1)")
+    group.add_argument("--all-characters", action="store_true")
     sp.set_defaults(fn=_cmd_charsum)
 
     sp = sub.add_parser("deephole", help="degree-(k+1) deep-hole test via subset sums")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
+    _add_field(sp)
+    sp.add_argument("--budget-subsets", type=int, default=DEFAULT_SUBSET_BUDGET,
+                    help="cap on brute-force subset scans (default %(default)s)")
+    sp.add_argument("--budget-dp", type=int, default=DEFAULT_DP_BUDGET,
+                    help="cap on subset-sum DP size |D|*r*q (default %(default)s)")
+    _add_spec(sp)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--b1", type=int, default=None,
-                    help="test the word x^(k+1) - b1*x^k over D")
-    sp.add_argument("--all-b1", action="store_true")
-    sp.add_argument("--word", default=None, help="JSON array of |D| element encodings")
-    sp.add_argument("--word-poly", default=None,
-                    help="polynomial literal c0,c1,... evaluated over D")
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--b1", type=int, help="test the word x^(k+1) - b1*x^k over D")
+    group.add_argument("--all-b1", action="store_true")
+    group.add_argument("--word", help="JSON array of |D| element encodings")
+    group.add_argument("--word-poly", help="polynomial literal c0,c1,... evaluated over D")
     sp.add_argument("--brute-force-crosscheck", action="store_true")
     sp.set_defaults(fn=_cmd_deephole)
 
     sp = sub.add_parser("bound", help="falling-factorial guarantee check")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a", type=int, default=1)
+    _add_field(sp)
+    _add_spec(sp, a_default=1)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--size-d", type=int, default=None,
                     help="override |D| (default: value-set size formula)")
     sp.set_defaults(fn=_cmd_bound)
 
     sp = sub.add_parser("region", help="feasible message-length window")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a", type=int, default=1)
+    _add_field(sp)
+    _add_spec(sp, a_default=1)
     sp.add_argument("--c1", type=float, required=True)
-    sp.add_argument("--size-d", type=int, default=None)
+    sp.add_argument("--size-d", type=int, default=None,
+                    help="override |D| (default: value-set size formula)")
     sp.set_defaults(fn=_cmd_region)
 
+    # every suite flag stays a raw string (None when absent) and goes through
+    # the config parser, so it overrides the file's value only when given
     sp = sub.add_parser("suite", help="run verification suites over a grid")
-    _add_common(sp, field_required=False)
-    sp.add_argument("--config", default=None, help="key=value config file")
-    sp.add_argument("--suites", default=None,
-                    help=f"comma list from {', '.join(SUITE_NAMES)} or 'all'")
-    sp.add_argument("--n", default=None, help="range: 3, 2..12, or 2,3,5")
-    sp.add_argument("--a", default=None, help="range as for --n, or 'all'")
-    sp.add_argument("--k", default=None, help="range as for --n")
-    sp.add_argument("--c1", type=float, default=None)
+    _add_field(sp, required=False)
+    sp.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
+    sp.add_argument("--budget-subsets",
+                    help=f"cap on brute-force subset scans (default {DEFAULT_SUBSET_BUDGET})")
+    sp.add_argument("--budget-dp",
+                    help=f"cap on subset-sum DP size |D|*r*q (default {DEFAULT_DP_BUDGET})")
+    sp.add_argument("--config", help="key=value config file; flags override its values")
+    sp.add_argument("--suites", help=f"comma list from {', '.join(SUITE_NAMES)} or 'all'")
+    sp.add_argument("--n", help="range: 3, 2..12, or 2,3,5")
+    sp.add_argument("--a", help="range as for --n, or 'all'")
+    sp.add_argument("--k", help="range as for --n")
+    sp.add_argument("--c1")
     sp.set_defaults(fn=_cmd_suite)
 
     return ap
@@ -891,11 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command != "suite":  # suite resolves budgets through its config
-        if args.budget_subsets is None:
-            args.budget_subsets = DEFAULT_SUBSET_BUDGET
-        if args.budget_dp is None:
-            args.budget_dp = DEFAULT_DP_BUDGET
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError) as e:

@@ -30,7 +30,6 @@ from functools import lru_cache
 __all__ = [
     "FiniteField",
     "TwoAdicData",
-    "field_create",
     "parse_field_spec",
     "two_adic",
 ]
@@ -357,13 +356,7 @@ class FiniteField:
             if self._exp is None:
                 self._build_tables()
             return self._exp[(self._log[x] * e) % (self.q - 1)]
-        r, b = 1, x
-        while e:
-            if e & 1:
-                r = self._mul_direct(r, b)
-            b = self._mul_direct(b, b)
-            e >>= 1
-        return r
+        return self._pow_direct(x, e)
 
     def kernels(self):
         """(add, mul) on element encodings, without range checks.
@@ -493,15 +486,11 @@ class FiniteField:
             return 0
         if self.m == 1:
             return 1 if pow(x, (self.p - 1) // 2, self.p) == 1 else -1
+        if self.q > _TABLE_Q_CAP:  # Euler's criterion; no O(q) tables above the cap
+            return 1 if self._pow_direct(x, (self.q - 1) // 2) == 1 else -1
         if self._exp is None:
             self._build_tables()
         return 1 if self._log[x] % 2 == 0 else -1
-
-
-def field_create(p: int, m: int = 1, modulus=None) -> FiniteField:
-    """Construct GF(p^m); with modulus omitted the deterministic default
-    (lexicographically smallest monic irreducible) is used."""
-    return FiniteField(p, m, modulus)
 
 
 def parse_field_spec(spec: str) -> FiniteField:

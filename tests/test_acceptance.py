@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see one PASS/FAIL line
 per criterion.  Tolerances: exact equality for all counting results,
--1e-6 slack for character-sum inequalities, 1e-9 for identities in C.
+charsum.TOL_SLACK (1e-6) for character-sum inequalities, charsum.TOL_IDENTITY
+(1e-9) for identities in C.
 """
 
 from itertools import permutations
@@ -32,10 +33,8 @@ from dicksonrs import (
     weil_sum_2,
     weil_sum_3,
 )
+from dicksonrs.charsum import TOL_IDENTITY, TOL_SLACK
 from dicksonrs.dickson import values_vector
-
-TOL_SLACK = 1e-6
-TOL_ID = 1e-9
 
 N_RANGE = range(2, 13)
 
@@ -125,7 +124,7 @@ def test_criterion_4_character_sum_bounds(grid_fields):
                         worst_slack = min(worst_slack, r1.slack, r2.slack)
                         worst_pair = max(worst_pair, abs(r1.sum - r2.sum))
                         sums += 2
-    ok = worst_slack >= -TOL_SLACK and worst_pair <= TOL_ID
+    ok = worst_slack >= -TOL_SLACK and worst_pair <= TOL_IDENTITY
     _verdict(4, ok,
              f"{sums} bounded sums: worst slack {worst_slack:.3e}, "
              f"worst even-q pair deviation {worst_pair:.3e}")
@@ -141,7 +140,7 @@ def test_criterion_5_weighted_identity(grid_fields):
                 for b in F.elements():
                     worst = max(worst, weighted_identity_check(AdditiveCharacter(F, b), spec))
                     checks += 1
-    _verdict(5, worst <= TOL_ID,
+    _verdict(5, worst <= TOL_IDENTITY,
              f"weighted identity over {checks} (psi, n, a) cells: max deviation {worst:.3e}")
 
 
@@ -197,7 +196,7 @@ def test_criterion_6_sieve_correctness(grid_fields):
                 for k in range(1, min(5, D.size) + 1):
                     direct, via = sieve_identity_F(D, psi, k)
                     worst = max(worst, abs(direct - via))
-    ok = ok and worst <= TOL_ID
+    ok = ok and worst <= TOL_IDENTITY
     _verdict(6, ok,
              f"C_k exact checks, {grid_points} closed<=bound points, "
              f"identity max deviation {worst:.3e}")

@@ -1,6 +1,7 @@
 """Additive characters and the four Weil-type bound families.
 
-Identities (equalities in C) are held to 1e-9; inequality slack to -1e-6.
+Identities (equalities in C) are held to charsum.TOL_IDENTITY (1e-9);
+inequality slack to -charsum.TOL_SLACK (-1e-6).
 Characteristic-2 sums are exact integers, so those comparisons are sharp.
 """
 
@@ -21,9 +22,7 @@ from dicksonrs import (
     weil_sum_2,
     weil_sum_3,
 )
-
-TOL_ID = 1e-9
-TOL_SLACK = 1e-6
+from dicksonrs.charsum import TOL_IDENTITY, TOL_SLACK
 
 
 # --- character axioms -------------------------------------------------------
@@ -186,14 +185,14 @@ def test_weighted_identity_trivial_character(grid_fields):
     # both sides count |D|
     F = grid_fields[9]
     spec = DicksonSpec(F, 4, 2)
-    assert weighted_identity_check(AdditiveCharacter(F, 0), spec) <= TOL_ID
+    assert weighted_identity_check(AdditiveCharacter(F, 0), spec) <= TOL_IDENTITY
 
 
 def test_weighted_identity_f7_all_characters(grid_fields):
     F = grid_fields[7]
     spec = DicksonSpec(F, 2, 1)
     for b in F.elements():
-        assert weighted_identity_check(AdditiveCharacter(F, b), spec) <= TOL_ID
+        assert weighted_identity_check(AdditiveCharacter(F, b), spec) <= TOL_IDENTITY
 
 
 def test_weighted_identity_small_grid(grid_fields):
@@ -203,4 +202,4 @@ def test_weighted_identity_small_grid(grid_fields):
             for a in F.units():
                 spec = DicksonSpec(F, n, a)
                 for b in F.elements():
-                    assert weighted_identity_check(AdditiveCharacter(F, b), spec) <= TOL_ID
+                    assert weighted_identity_check(AdditiveCharacter(F, b), spec) <= TOL_IDENTITY

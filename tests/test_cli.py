@@ -223,3 +223,59 @@ def test_wall_clock_not_serialized():
     report = run_suite(cfg)
     assert report.suites[0].wall_clock >= 0.0
     assert "wall" not in emit(report, "json")
+
+
+def _exit_status(argv) -> int:
+    """main()'s return value, or the status of argparse's usage error."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def test_config_rejects_unknown_key(tmp_path, capsys):
+    with pytest.raises(ValueError, match="budgetdp"):
+        ExperimentConfig.from_text("field=7\nbudgetdp=5\n")
+    (tmp_path / "run.cfg").write_text("field=7\nsuites=valueset\nbudgetdp=5\n")
+    assert main(["suite", "--config", str(tmp_path / "run.cfg")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--field", "2^4", "--format", "csv"],
+    ["bound", "--field", "7", "--n", "2", "--k", "1", "--budget-dp", "5"],
+    ["value-set", "--field", "7", "--n", "2", "--a", "1", "--both"],
+], ids=["field-format", "bound-budget", "value-set-both"])
+def test_flags_a_subcommand_never_reads_are_usage_errors(argv, capsys):
+    assert _exit_status(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["deephole", "--field", "7", "--n", "2", "--a", "1", "--k", "1", "--b1", "0", "--all-b1"],
+    ["preimage", "--field", "7", "--n", "2", "--a", "1", "--x0", "1", "--all-x0"],
+    ["charsum", "--field", "7", "--n", "2", "--a", "1", "--which", "lemma",
+     "--b", "2", "--all-characters"],
+    ["charsum", "--field", "7", "--n", "2", "--a", "1", "--which", "lemma",
+     "--b", "1", "--all-characters"],
+], ids=["b1", "x0", "b", "b-default"])
+def test_contradictory_sources_rejected(argv, capsys):
+    assert _exit_status(argv) == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_missing_word_source_or_field_exits_2(capsys):
+    assert _exit_status(["deephole", "--field", "7", "--n", "2", "--a", "1", "--k", "1"]) == 2
+    assert _exit_status(["preimage", "--field", "7", "--n", "2", "--a", "1"]) == 2
+    assert _exit_status(["suite", "--suites", "valueset"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+# [0,5,3,4] is a valid word here (test_deephole_word_and_poly_inputs); each
+# of these differs from an int array only in type
+@pytest.mark.parametrize(
+    "word", ['[0.0,5,3,4]', '["a",5,3,4]', '[true,5,3,4]', '[false,5,3,4]', '{"a":1}'])
+def test_deephole_word_must_be_int_array(word, capsys):
+    argv = ["deephole", "--field", "7", "--n", "2", "--a", "1", "--k", "1", "--word", word]
+    assert main(argv) == 2
+    assert "error: --word must be a JSON array" in capsys.readouterr().err

@@ -1,10 +1,13 @@
 """Field arithmetic against an independent coefficient-list oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicksonrs import FiniteField, TwoAdicData, field_create, parse_field_spec, two_adic
+import dicksonrs.gf as gf
+from dicksonrs import FiniteField, TwoAdicData, parse_field_spec, two_adic
 
 
 # --- naive reference arithmetic: plain coefficient lists, no bit tricks,
@@ -52,13 +55,13 @@ def naive_mul(F, x, y):
 
 
 def test_prime_field_convention():
-    F = field_create(7, 1)
+    F = FiniteField(7, 1)
     assert (F.p, F.m, F.q) == (7, 1, 7)
     assert F.modulus == (0, 1)  # x - 0 convention
 
 
 def test_gf4_explicit_modulus():
-    F = field_create(2, 2, [1, 1, 1])
+    F = FiniteField(2, 2, [1, 1, 1])
     assert F.q == 4
     assert F.modulus == (1, 1, 1)
 
@@ -71,7 +74,7 @@ def test_default_moduli_are_smallest():
 
 
 def test_q_2_16():
-    F = field_create(2, 16)
+    F = FiniteField(2, 16)
     assert F.q == 65536
 
 
@@ -82,13 +85,13 @@ def test_field_create_deterministic():
 
 def test_bad_field_parameters():
     with pytest.raises(ValueError):
-        field_create(6, 1)  # composite p
+        FiniteField(6, 1)  # composite p
     with pytest.raises(ValueError):
-        field_create(2, 2, [0, 0, 1])  # t^2, reducible
+        FiniteField(2, 2, [0, 0, 1])  # t^2, reducible
     with pytest.raises(ValueError):
-        field_create(2, 2, [1, 1])  # wrong degree
+        FiniteField(2, 2, [1, 1])  # wrong degree
     with pytest.raises(ValueError):
-        field_create(2, 33)  # q over the 2^32 cap
+        FiniteField(2, 33)  # q over the 2^32 cap
 
 
 def test_field_spec_roundtrip():
@@ -208,6 +211,28 @@ def test_quad_char_multiplicative(grid_fields):
         for x in F.units():
             for y in F.units():
                 assert F.quad_char(F.mul(x, y)) == F.quad_char(x) * F.quad_char(y)
+
+
+def test_quad_char_above_table_cap_builds_no_table():
+    # GF(3^11) is past the exp/log table cap; Euler's criterion needs no table
+    F = FiniteField(3, 11)
+    xs = random.Random(11).sample(range(1, F.q), 20)
+    for x in xs:
+        assert F.quad_char(F.mul(x, x)) == 1
+    for x, y in zip(xs, xs[1:]):
+        assert F.quad_char(F.mul(x, y)) == F.quad_char(x) * F.quad_char(y)
+    assert F._exp is None
+
+
+@pytest.mark.parametrize("p, m", [(3, 5), (5, 3), (7, 2)])
+def test_quad_char_euler_matches_log_parity(p, m, monkeypatch):
+    tabled = FiniteField(p, m)
+    want = [tabled.quad_char(x) for x in tabled.units()]
+    assert tabled._exp is not None
+    monkeypatch.setattr(gf, "_TABLE_Q_CAP", 1)  # every field is now above the cap
+    euler = FiniteField(p, m)
+    assert [euler.quad_char(x) for x in euler.units()] == want
+    assert euler._exp is None
 
 
 def test_quad_char_rejects_even_q(grid_fields):
