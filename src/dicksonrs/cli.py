@@ -546,6 +546,8 @@ def _cmd_field(args) -> int:
 def _cmd_value_set(args) -> int:
     F = parse_field_spec(args.field)
     spec = DicksonSpec(F, args.n, args.a)
+    if args.formula and args.elems:
+        raise ValueError("--elems lists the enumerated set; it cannot be used with --formula")
     doc = {"q": F.q, "n": args.n, "a": args.a}
     if not args.brute_force:
         rep = value_set_size_formula(spec)
@@ -625,8 +627,7 @@ def _cmd_deephole(args) -> int:
             raise ValueError("--word must be a JSON array of integer element encodings")
         words = [ReceivedWord(code, values)]
     elif args.word_poly is not None:
-        poly = parse_poly_literal(F, args.word_poly)
-        words = [ReceivedWord(code, (poly.evaluate(x) for x in D.elems))]
+        words = [ReceivedWord.from_poly(code, parse_poly_literal(F, args.word_poly))]
     else:
         words = [monomial_word(code, args.b1)]
     budget_subsets = args.budget_subsets if args.brute_force_crosscheck else None
@@ -794,7 +795,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError) as e:
+    except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -12,21 +12,30 @@ has a solution in distinct elements of D, where u_monic = x^(k+1)
 - b1*x^k + ...  Lower-order coefficients are absorbed into the codeword,
 so the whole test rides on b1 alone.
 
-The brute-force distance oracle maximises agreement over k-subsets of
-positions: the covering radius bound d(u, C) <= |D|-k means the nearest
-codeword agrees with u on at least k positions, so interpolating u on
-those positions rediscovers it.  Subset-sum counting is an exact dynamic
-program over (elements scanned, chosen count, running sum), with big-int
-counts; ordered solution counts multiply by (k+1)!.  A code builds that
+The brute-force distance oracle maximises agreement by counting
+codeword pencils.  The covering radius bound d(u, C) <= |D|-k means some
+nearest codeword c agrees with u on a set A of at least k positions.  With
+T the k-1 smallest positions of A, every codeword through u on T is
+p_T + lam*M_T, where p_T interpolates u on T and M_T = prod_{t in T}
+(x - x_t); it meets u at a position j outside T exactly when lam equals
+the divided difference lam_j = u[x_T, x_j] = (u_j - p_T(x_j)) / M_T(x_j).
+So for each (k-1)-subset T the most repeated lam_j over j > max(T) gives
+the best codeword of that pencil, with k-1 plus that many agreements.
+There is one lam_j per k-subset T + {j}, so exactly C(|D|, k) of them,
+each one O(1) step from the divided differences of T's prefix.
+
+Subset-sum counting is an exact dynamic program over (elements scanned,
+chosen count, running sum), with big-int counts; ordered solution
+counts multiply by (k+1)!.  A code builds that
 table once, for r = k+1, and answers the count and the witness for every
 b1 from it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from math import comb, factorial
 
 from .dickson import EvaluationSet
@@ -83,6 +92,13 @@ class RSCodeSpec:
         and freed with the code; callers apply `_dp_guard` first."""
         return SubsetSumTable(self.field, self.points, self.k + 1)
 
+    @cached_property
+    def _inverse_differences(self) -> list[list[int]]:
+        """Row t holds 1 / (x_j - x_t) for j = t+1 .. |D|-1."""
+        F, xs = self.field, self.points
+        return [[F.inv(F.sub(xs[j], xs[t])) for j in range(t + 1, len(xs))]
+                for t in range(len(xs) - 1)]
+
 
 class ReceivedWord:
     """A length-|D| word aligned with the code's point order."""
@@ -96,6 +112,25 @@ class ReceivedWord:
         self.code = code
         self.values = values
         self._interp = None
+
+    @classmethod
+    def from_poly(cls, code: RSCodeSpec, poly: Polynomial) -> "ReceivedWord":
+        """Evaluations of poly over the code's points.  When deg poly < |D|,
+        poly is the unique interpolant of those values and is kept as it."""
+        if poly.field != code.field:
+            raise ValueError("polynomial from a different field")
+        add, mul = code.field.kernels()
+        high_to_low = poly.coeffs[::-1]
+        values = []
+        for x in code.points:
+            acc = 0
+            for c in high_to_low:
+                acc = add(mul(acc, x), c)
+            values.append(acc)
+        word = cls(code, values)
+        if poly.degree < code.length:
+            word._interp = poly
+        return word
 
     @property
     def interp(self) -> Polynomial:
@@ -135,40 +170,69 @@ def encode(code: RSCodeSpec, msg: Polynomial) -> ReceivedWord:
         raise ValueError("message polynomial from a different field")
     if msg.degree > code.k - 1:
         raise ValueError(f"message degree {msg.degree} exceeds k-1 = {code.k - 1}")
-    return ReceivedWord(code, (msg.evaluate(x) for x in code.points))
+    return ReceivedWord.from_poly(code, msg)
 
 
 def monomial_word(code: RSCodeSpec, b1: int) -> ReceivedWord:
     """Evaluations of x^(k+1) - b1*x^k over the code's points."""
     F = code.field
-    poly = Polynomial(F, (0,) * code.k + (F.neg(b1), 1))
-    return ReceivedWord(code, (poly.evaluate(x) for x in code.points))
+    return ReceivedWord.from_poly(code, Polynomial(F, (0,) * code.k + (F.neg(b1), 1)))
 
 
 def error_distance_bf(word: ReceivedWord, budget: int = DEFAULT_SUBSET_BUDGET) -> DistanceReport:
-    """Exact d(u, C) by maximum agreement over k-subsets of positions.
+    """Exact d(u, C) by maximum agreement, counted over codeword pencils.
 
-    Valid because some nearest codeword agrees with u on >= k positions
-    (covering radius <= |D| - k), so it is the interpolant of u restricted
-    to one of the scanned subsets.
+    For each (k-1)-subset T of positions, in lexicographic order, lam_j =
+    u[x_T, x_j] is computed for every j > max(T) and its repeats counted:
+    the pencil codeword p_T + lam*M_T agrees with u on T and on every j
+    with lam_j = lam.  Some nearest codeword agrees with u on k-1 + (its
+    count) positions at T = its first k-1 agreements, so the largest count
+    gives the distance.  That is exactly C(|D|, k) lam_j values, one per
+    k-subset T + {j}, which is what `budget` bounds; each is one step of
+    the divided-difference recursion u[P, t, j] = (u[P, j] - u[P, t]) /
+    (x_j - x_t) from T's prefix P.  The witness is the codeword of the
+    lexicographically first k-subset whose codeword agrees most (the first
+    T with the top count, and within it the smallest j of a top lam),
+    interpolated once at the end.
     """
     code = word.code
     n, k = code.length, code.k
     if comb(n, k) > budget:
         raise ValueError(f"C({n},{k}) = {comb(n, k)} exceeds the subset budget {budget}")
-    best_agree = -1
-    best_poly = None
-    for subset in combinations(range(n), k):
-        cand = lagrange_interpolate(
-            code.field, [(code.points[i], word.values[i]) for i in subset]
-        )
-        agree = sum(
-            1 for i in range(n) if cand.evaluate(code.points[i]) == word.values[i]
-        )
-        if agree > best_agree:
-            best_agree, best_poly = agree, cand
-    dist = n - best_agree
-    return DistanceReport(distance=dist, witness=best_poly, is_deep_hole=dist == n - k)
+    F = code.field
+    add, mul = F.kernels()
+    inv_diff = code._inverse_differences if k > 1 else None
+
+    def extensions(prefix, start, dd):
+        # dd[i] = u[x_prefix, x_j] for j = start + i; extend the prefix by
+        # each t that still leaves room for the rest of T and one j
+        for t in range(start, n - k + len(prefix) + 1):
+            i = t - start
+            minus = F.neg(dd[i])
+            yield prefix + (t,), t + 1, [
+                mul(add(d, minus), w) for d, w in zip(dd[i + 1:], inv_diff[t])
+            ]
+
+    best, best_subset = 0, None
+    stack = [iter([((), 0, list(word.values))])]
+    while stack:
+        item = next(stack[-1], None)
+        if item is None:
+            stack.pop()
+        elif len(item[0]) < k - 1:
+            stack.append(extensions(*item))
+        else:
+            prefix, start, lams = item
+            counts = Counter(lams)
+            top = max(counts.values())
+            if top > best:
+                j = next(i for i, lam in enumerate(lams) if counts[lam] == top)
+                best, best_subset = top, prefix + (start + j,)
+    witness = lagrange_interpolate(
+        F, [(code.points[i], word.values[i]) for i in best_subset]
+    )
+    dist = n - (k - 1 + best)
+    return DistanceReport(distance=dist, witness=witness, is_deep_hole=dist == n - k)
 
 
 def deg_k1_reduction(word: ReceivedWord) -> int:

@@ -29,8 +29,6 @@ from functools import lru_cache
 from itertools import permutations
 from math import ceil, factorial, log2, sqrt
 
-import mpmath
-
 from .charsum import AdditiveCharacter, _psi_table
 from .dickson import EvaluationSet
 
@@ -202,6 +200,8 @@ class BoundReport:
 
 def _log_falling(x, j: int):
     """ln (x)_j at 100-bit precision; requires x - j + 1 > 0."""
+    import mpmath  # deferred: only the bound check needs it
+
     total = mpmath.mpf(0)
     for l in range(j):
         total += mpmath.log(x - l)
@@ -223,6 +223,8 @@ def main_bound_check(q: int, n: int, size_d: int, k: int) -> BoundReport:
         raise ValueError(f"falling factorial empty: k+1 = {k + 1} > |D| = {size_d}")
     if k < 0 or size_d <= 0 or q <= 1:
         raise ValueError("q > 1, size_d > 0 and k >= 0 required")
+    import mpmath  # deferred: only the bound check needs it
+
     with mpmath.workprec(_MP_PREC):
         sq = mpmath.sqrt(q)
         log_lhs = _log_falling(mpmath.mpf(size_d), k + 1) - mpmath.log(q)

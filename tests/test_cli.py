@@ -2,13 +2,17 @@
 and schema-valid, configs round-trip."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import dicksonrs
 from dicksonrs.cli import ExperimentConfig, emit, main, run_suite
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -279,3 +283,31 @@ def test_deephole_word_must_be_int_array(word, capsys):
     argv = ["deephole", "--field", "7", "--n", "2", "--a", "1", "--k", "1", "--word", word]
     assert main(argv) == 2
     assert "error: --word must be a JSON array" in capsys.readouterr().err
+
+
+def test_missing_files_exit_2(tmp_path, capsys):
+    assert main(["suite", "--config", str(tmp_path / "missing.cfg")]) == 2
+    assert "error:" in capsys.readouterr().err
+    out = tmp_path / "missing_dir" / "x.json"
+    assert main(["field", "--field", "7", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_value_set_formula_rejects_elems(capsys):
+    argv = ["value-set", "--field", "7", "--n", "2", "--a", "1", "--formula", "--elems"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "--elems" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # a fresh interpreter: other tests load mpmath through the bound check
+    src = str(Path(dicksonrs.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, dicksonrs.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -4,6 +4,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicksonrs import (
     DicksonSpec,
@@ -17,6 +19,7 @@ from dicksonrs import (
     deg_k1_reduction,
     encode,
     error_distance_bf,
+    lagrange_interpolate,
     monomial_word,
     subset_sum_count,
     subset_sum_find,
@@ -100,6 +103,51 @@ def test_inverse_monomial_words_are_deep_holes(grid_fields):
             assert rep.is_deep_hole
 
 
+def _distance_by_subsets(word):
+    """Reference oracle: interpolate u on every k-subset of positions and
+    count agreements at all |D| points; the first subset with the most
+    agreements gives the witness."""
+    code = word.code
+    n, k = code.length, code.k
+    best_agree, best_poly = -1, None
+    for subset in combinations(range(n), k):
+        cand = lagrange_interpolate(
+            code.field, [(code.points[i], word.values[i]) for i in subset]
+        )
+        agree = sum(
+            1 for i in range(n) if cand.evaluate(code.points[i]) == word.values[i]
+        )
+        if agree > best_agree:
+            best_agree, best_poly = agree, cand
+    return n - best_agree, best_poly
+
+
+_ORACLE_FIELDS = {pm: FiniteField(*pm) for pm in [(7, 1), (2, 3), (3, 2), (3, 3), (2, 4)]}
+
+
+@pytest.mark.parametrize("pm", list(_ORACLE_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pencil_distance_matches_subset_oracle(pm, data):
+    F = _ORACLE_FIELDS[pm]
+    n = data.draw(st.integers(2, min(F.q, 9)), label="|D|")
+    points = tuple(data.draw(st.permutations(range(F.q)))[:n])
+    k = data.draw(st.integers(1, min(4, n - 1)), label="k")
+    code = RSCodeSpec(F, points, k)
+    elem = st.integers(0, F.q - 1)
+    if data.draw(st.booleans(), label="near codeword"):
+        msg = Polynomial(F, data.draw(st.lists(elem, min_size=k, max_size=k)))
+        values = list(encode(code, msg).values)
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="errors"):
+            values[i] = data.draw(elem)
+    else:
+        values = data.draw(st.lists(elem, min_size=n, max_size=n), label="word")
+    word = ReceivedWord(code, values)
+    rep = error_distance_bf(word)
+    assert (rep.distance, rep.witness) == _distance_by_subsets(word)
+    assert rep.is_deep_hole == (rep.distance == n - k)
+
+
 def test_distance_budget(f7):
     code = RSCodeSpec(f7, tuple(range(7)), 3)
     word = encode(code, Polynomial(f7, [1]))
@@ -121,6 +169,27 @@ def test_b1_after_normalization(f7):
     poly = Polynomial(f7, [0, 0, 1, 2])
     word = ReceivedWord(code, [poly.evaluate(x) for x in code.points])
     assert deg_k1_reduction(word) == 3
+
+
+def test_monomial_word_keeps_its_interpolant(grid_fields):
+    for q in (7, 8, 9, 27):
+        F = grid_fields[q]
+        code = RSCodeSpec.from_evaluation_set(value_set(DicksonSpec(F, 3, 1)), 2)
+        for b1 in (0, 1, q - 1):
+            word = monomial_word(code, b1)
+            assert word.interp == lagrange_interpolate(F, zip(code.points, word.values))
+            assert word.interp.degree == code.k + 1
+
+
+def test_monomial_word_of_degree_d_is_reinterpolated(dickson_code_f7, f7):
+    # k + 1 = |D|: x^4 - b1*x^3 takes the values of a degree-<4 polynomial
+    # on D, so its interpolant is not of degree k+1
+    code = RSCodeSpec(f7, dickson_code_f7.points, 3)
+    word = monomial_word(code, 2)
+    assert word.interp == lagrange_interpolate(f7, zip(code.points, word.values))
+    assert word.interp.degree < code.k + 1
+    with pytest.raises(ValueError):
+        deg_k1_reduction(word)
 
 
 def test_b1_requires_degree_k_plus_1(dickson_code_f7, f7):
