@@ -63,6 +63,7 @@ def test_encode_interpolate_roundtrip(f7):
     msg = Polynomial(f7, [2, 0, 5])
     word = encode(code, msg)
     assert word.interp == msg
+    assert lagrange_interpolate(f7, zip(code.points, word.values)) == msg
 
 
 # --- brute-force distance -----------------------------------------------------
@@ -181,7 +182,7 @@ def test_monomial_word_keeps_its_interpolant(grid_fields):
             assert word.interp.degree == code.k + 1
 
 
-def test_monomial_word_of_degree_d_is_reinterpolated(dickson_code_f7, f7):
+def test_full_length_monomial_word_is_reinterpolated(dickson_code_f7, f7):
     # k + 1 = |D|: x^4 - b1*x^3 takes the values of a degree-<4 polynomial
     # on D, so its interpolant is not of degree k+1
     code = RSCodeSpec(f7, dickson_code_f7.points, 3)
