@@ -20,9 +20,7 @@ from .dickson import (
     EvaluationSet,
     PreimageReport,
     ValueSetReport,
-    dickson_coeffs,
     dickson_eval,
-    dickson_poly,
     preimage_count,
     value_counts,
     value_set,

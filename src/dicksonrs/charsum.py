@@ -94,21 +94,30 @@ def nontrivial_characters(field: FiniteField):
     return (AdditiveCharacter(field, b) for b in field.units())
 
 
+# psi_1, which every other table is read from, and the table in use; a
+# suite runs its characters outermost, so each table is still built once
+_PSI_CACHE_SIZE = 2
+
+
 @lru_cache(maxsize=None)
-def _roots_of_unity(p: int) -> tuple[complex, ...]:
+def _roots_of_unity(p: int) -> tuple:
+    """omega^k for k < p; exact ints +-1 when p = 2."""
     if p == 2:
-        return (1.0 + 0j, -1.0 + 0j)
+        return (1, -1)
     return tuple(cmath.exp(2j * cmath.pi * k / p) for k in range(p))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PSI_CACHE_SIZE)
 def _psi_table(field: FiniteField, b: int):
     """Value of psi_b at every element.  In characteristic 2 the entries
-    are exact ints +-1; otherwise complex roots of unity."""
-    if field.p == 2:
-        return tuple(1 - 2 * field.trace(field.mul(b, x)) for x in field.elements())
-    roots = _roots_of_unity(field.p)
-    return tuple(roots[field.trace(field.mul(b, x))] for x in field.elements())
+    are exact ints +-1; otherwise complex roots of unity.  Only psi_1 reads
+    the trace; psi_b(x) = psi_1(b*x) for every other b."""
+    if b == 1:
+        roots = _roots_of_unity(field.p)
+        return tuple(roots[field.trace(x)] for x in field.elements())
+    tab1 = _psi_table(field, 1)
+    _, mul = field.kernels()
+    return tuple(tab1[mul(b, x)] for x in field.elements())
 
 
 def char_eval(psi: AdditiveCharacter, x: int) -> complex:
@@ -164,10 +173,9 @@ def weil_sum_1(psi: AdditiveCharacter, spec: DicksonSpec) -> CharSumReport:
 @lru_cache(maxsize=None)
 def _eta_vector(field: FiniteField, a: int) -> tuple[int, ...]:
     """eta(x^2 - 4a) for every x, odd q."""
-    four_a = field.mul(field.from_int(4), a)
-    return tuple(
-        field.quad_char(field.sub(field.mul(x, x), four_a)) for x in field.elements()
-    )
+    add, mul = field.kernels()
+    minus_4a = field.neg(field.mul(field.from_int(4), a))
+    return tuple(field.quad_char(add(mul(x, x), minus_4a)) for x in field.elements())
 
 
 def weil_sum_2(psi: AdditiveCharacter, spec: DicksonSpec) -> CharSumReport:
@@ -189,10 +197,19 @@ def weil_sum_2(psi: AdditiveCharacter, spec: DicksonSpec) -> CharSumReport:
 @lru_cache(maxsize=None)
 def _weil3_shift_tables(field: FiniteField, a: int):
     """psi_Tr(a/x^2) and psi_Tr(a^(q/2)/x) for x in F_q^*, even q."""
+    _, mul = field.kernels()
+    # 1/x for every unit from one inversion (Montgomery's trick): inv[x]
+    # first holds 1*2*...*(x-1), and r runs through 1/(1*2*...*x)
+    q, inv = field.q, [1] * field.q
+    for x in range(2, q):
+        inv[x] = mul(inv[x - 1], x - 1)
+    r = field.inv(mul(inv[-1], q - 1))
+    for x in range(q - 1, 0, -1):
+        inv[x], r = mul(r, inv[x]), mul(r, x)
     tab1 = _psi_table(field, 1)
-    sqrt_a = field.pow(a, field.q // 2)
-    t_sq = tuple(tab1[field.mul(a, field.inv(field.mul(x, x)))] for x in field.units())
-    t_lin = tuple(tab1[field.mul(sqrt_a, field.inv(x))] for x in field.units())
+    sqrt_a = field.pow(a, q // 2)
+    t_sq = tuple(tab1[mul(a, mul(inv[x], inv[x]))] for x in field.units())
+    t_lin = tuple(tab1[mul(sqrt_a, inv[x])] for x in field.units())
     return t_sq, t_lin
 
 

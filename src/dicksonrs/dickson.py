@@ -5,8 +5,8 @@ D_n(y + a/y, a) = y^n + (a/y)^n.  Evaluation uses the linear recurrence
 
     D_0 = 2,  D_1 = x,  D_j = x*D_{j-1} - a*D_{j-2},
 
-which costs O(n) field operations; the closed-form integer coefficients
-are kept only as an independent cross-check.
+which costs O(n) field operations.  The closed-form integer coefficients
+are the tests' independent cross-check.
 
 The two counting results implemented here, both exact:
 
@@ -27,19 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import gcd
 
 from .gf import FiniteField, two_adic
-from .polyring import Polynomial
 
 __all__ = [
     "DicksonSpec",
     "EvaluationSet",
     "PreimageReport",
     "ValueSetReport",
-    "dickson_coeffs",
     "dickson_eval",
-    "dickson_poly",
     "preimage_count",
     "value_counts",
     "value_set",
@@ -99,52 +96,28 @@ class ValueSetReport:
     terms: tuple[Fraction, Fraction]
 
 
-def dickson_coeffs(n: int) -> list[int]:
-    """Integer closed-form coefficients, before reduction mod p.
-
-    Entry i multiplies a^i * x^(n-2i):  n/(n-i) * C(n-i, i) * (-1)^i.
-    The quotient is always integral; we assert rather than trust.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = []
-    for i in range(n // 2 + 1):
-        num = n * comb(n - i, i)
-        assert num % (n - i) == 0
-        out.append((num // (n - i)) * (-1) ** i)
-    return out
-
-
-def _eval_recurrence(field: FiniteField, n: int, a: int, x: int) -> int:
-    two = field.from_int(2)
-    if n == 0:
-        return two
-    prev, cur = two, x
-    for _ in range(n - 1):
-        prev, cur = cur, field.sub(field.mul(x, cur), field.mul(a, prev))
-    return cur
+def _eval_recurrence(field: FiniteField, n: int, a: int, xs):
+    """D_n(x, a) for each x in xs (n >= 1), on the field's kernels; a and
+    every x were checked by the caller."""
+    add, mul = field.kernels()
+    two, neg_a = field.from_int(2), field.neg(a)
+    for x in xs:
+        prev, cur = two, x
+        for _ in range(n - 1):
+            prev, cur = cur, add(mul(x, cur), mul(neg_a, prev))
+        yield cur
 
 
 def dickson_eval(spec: DicksonSpec, x: int) -> int:
     """D_n(x, a) by the linear recurrence."""
     spec.field._check(x)
-    return _eval_recurrence(spec.field, spec.n, spec.a, x)
-
-
-def dickson_poly(spec: DicksonSpec) -> Polynomial:
-    """D_n(x, a) materialised as a polynomial in x, via the closed form."""
-    F, n, a = spec.field, spec.n, spec.a
-    coeffs = [0] * (n + 1)
-    for i, c in enumerate(dickson_coeffs(n)):
-        coeffs[n - 2 * i] = F.mul(F.from_int(c), F.pow(a, i))
-    return Polynomial(F, coeffs)
+    return next(_eval_recurrence(spec.field, spec.n, spec.a, (x,)))
 
 
 @lru_cache(maxsize=None)
 def values_vector(spec: DicksonSpec) -> tuple[int, ...]:
     """(D_n(0,a), D_n(1,a), ..., D_n(q-1,a)) in encoding order."""
-    F = spec.field
-    return tuple(_eval_recurrence(F, spec.n, spec.a, x) for x in F.elements())
+    return tuple(_eval_recurrence(spec.field, spec.n, spec.a, spec.field.elements()))
 
 
 def value_counts(spec: DicksonSpec, budget: int = DEFAULT_ENUM_BUDGET) -> dict[int, int]:

@@ -16,9 +16,12 @@ over a fixed primitive element, so mul/inv/pow are O(1) lookups.  Larger
 fields (supported up to q <= 2^32) fall back to direct polynomial
 arithmetic modulo the defining polynomial.
 
-`FiniteField.kernels()` hands out unchecked add/mul closures for inner
-loops whose inputs were validated once at entry; odd-characteristic
-extensions under the table cap add through Zech logarithms there.
+`FiniteField.kernels()` holds the only add and mul: unchecked closures
+(odd-characteristic extensions under the table cap add through Zech
+logarithms).  The public ops are checked kernels: they range-check their
+operands and call a kernel, or `pow` for inv.  The trace is a linear form,
+Tr(x) = sum c_i Tr(t^i) over x's digits, tabulated under the cap, and
+`quad_char` is Euler's criterion x^((q-1)/2) through `pow`.
 """
 
 from __future__ import annotations
@@ -39,17 +42,8 @@ _TABLE_Q_CAP = 1 << 16
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic trial division; n <= 2^32 so this is instant."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Trial division by way of the factorisation; n <= 2^32 keeps it instant."""
+    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -229,8 +223,9 @@ class FiniteField:
         # int encoding of the modulus for the characteristic-2 bit path
         self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
         self._ppow = [p**i for i in range(m + 1)]
-        self._exp = None  # exp/log tables, built lazily
+        self._exp = None  # exp/log tables, built lazily; exp is stored twice over
         self._log = None
+        self._trace_basis = None  # Tr(t^i), i < m, and the trace table, built lazily
         self._trace_tab = None
         self._kernels = None
 
@@ -266,6 +261,8 @@ class FiniteField:
         return range(1, self.q)
 
     def encode(self, coeffs) -> int:
+        if len(coeffs) > self.m:
+            raise ValueError(f"{len(coeffs)} coefficients do not encode an element of {self!r}")
         return sum((c % self.p) * self._ppow[i] for i, c in enumerate(coeffs))
 
     def decode(self, x: int) -> tuple[int, ...]:
@@ -289,25 +286,12 @@ class FiniteField:
     def add(self, x: int, y: int) -> int:
         self._check(x)
         self._check(y)
-        if self.m == 1:
-            return (x + y) % self.p
-        if self.p == 2:
-            return x ^ y
-        p, out, ppow = self.p, 0, self._ppow
-        for i in range(self.m):
-            out += ((x // ppow[i] + y // ppow[i]) % p) * ppow[i]
-        return out
+        return self.kernels()[0](x, y)
 
     def neg(self, x: int) -> int:
+        # p-1 encodes -1 of the prime subfield (and 1 = -1 when p = 2)
         self._check(x)
-        if self.m == 1:
-            return (-x) % self.p
-        if self.p == 2:
-            return x
-        p, out, ppow = self.p, 0, self._ppow
-        for i in range(self.m):
-            out += (-(x // ppow[i]) % p) * ppow[i]
-        return out
+        return self.kernels()[1](x, self.p - 1)
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -315,26 +299,11 @@ class FiniteField:
     def mul(self, x: int, y: int) -> int:
         self._check(x)
         self._check(y)
-        if self.m == 1:
-            return (x * y) % self.p
-        if x == 0 or y == 0:
-            return 0
-        if self.q <= _TABLE_Q_CAP:
-            if self._exp is None:
-                self._build_tables()
-            return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
-        return self._mul_direct(x, y)
+        return self.kernels()[1](x, y)
 
     def inv(self, x: int) -> int:
-        self._check(x)
         if x == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self.m == 1:
-            return pow(x, self.p - 2, self.p)
-        if self.q <= _TABLE_Q_CAP:
-            if self._exp is None:
-                self._build_tables()
-            return self._exp[(-self._log[x]) % (self.q - 1)]
         return self.pow(x, self.q - 2)
 
     def div(self, x: int, y: int) -> int:
@@ -361,9 +330,10 @@ class FiniteField:
     def kernels(self):
         """(add, mul) on element encodings, without range checks.
 
-        For inner loops whose operands were checked once at their entry;
-        results equal add/mul on valid encodings and are undefined on
-        anything else.  Built on first use; tables are O(q) and only
+        The field's only add and mul: the public ops check their operands
+        and call these, and inner loops whose operands were checked once at
+        their entry call them directly.  Results are undefined on anything
+        but valid encodings.  Built on first use; tables are O(q) and only
         exist under the table cap.
         """
         if self._kernels is None:
@@ -375,24 +345,22 @@ class FiniteField:
         if self.m == 1:
             return (lambda x, y: (x + y) % p), (lambda x, y: x * y % p)
         if q > _TABLE_Q_CAP:
-            # odd characteristic keeps the checked digit loop here
-            return (operator.xor if p == 2 else self.add), self._mul_direct
+            return (operator.xor if p == 2 else self._add_digits), self._mul_direct
         if self._exp is None:
             self._build_tables()
-        log = self._log
-        exp2 = self._exp * 2  # exp2[i + j] for i, j < q-1 needs no reduction
+        exp, log = self._exp, self._log  # exp[i + j] for i, j < q-1 needs no reduction
 
         def mul(x, y):
             if x and y:
-                return exp2[log[x] + log[y]]
+                return exp[log[x] + log[y]]
             return 0
 
         if p == 2:
             return operator.xor, mul
         # Zech logarithms: 1 + g^d = g^zech[d], and -1 where 1 + g^d = 0
         zech = [-1] * (q - 1)
-        for d, gd in enumerate(self._exp):
-            s = self.add(1, gd)
+        for d in range(q - 1):
+            s = self._add_digits(1, exp[d])
             if s:
                 zech[d] = log[s]
 
@@ -404,9 +372,15 @@ class FiniteField:
                 return x
             lx = log[x]
             z = zech[log[y] - lx]
-            return exp2[lx + z] if z >= 0 else 0
+            return exp[lx + z] if z >= 0 else 0
 
         return add, mul
+
+    def _add_digits(self, x: int, y: int) -> int:
+        p, out, ppow = self.p, 0, self._ppow
+        for i in range(self.m):
+            out += ((x // ppow[i] + y // ppow[i]) % p) * ppow[i]
+        return out
 
     def _mul_direct(self, x: int, y: int) -> int:
         if self.p == 2:
@@ -427,15 +401,9 @@ class FiniteField:
 
     def _build_tables(self):
         q = self.q
-        # find a primitive element: smallest enc whose order is q-1
-        factors = _prime_factors(q - 1)
-        g = None
-        for cand in range(2, q):
-            if all(self._pow_direct(cand, (q - 1) // ell) != 1 for ell in factors):
-                g = cand
-                break
-        if g is None:  # pragma: no cover - the unit group is always cyclic
-            raise ArithmeticError("no primitive element found")
+        # a primitive element, the smallest enc of order q-1 (the unit group is cyclic)
+        cofactors = [(q - 1) // ell for ell in _prime_factors(q - 1)]
+        g = next(c for c in range(2, q) if all(self._pow_direct(c, e) != 1 for e in cofactors))
         exp = [0] * (q - 1)
         log = [0] * q
         acc = 1
@@ -443,7 +411,7 @@ class FiniteField:
             exp[i] = acc
             log[acc] = i
             acc = self._mul_direct(acc, g)
-        self._exp = exp
+        self._exp = exp * 2
         self._log = log
 
     def _pow_direct(self, x: int, e: int) -> int:
@@ -458,39 +426,44 @@ class FiniteField:
     # -- field invariants used throughout ------------------------------
 
     def trace(self, x: int) -> int:
-        """Absolute trace Tr(x) = x + x^p + ... + x^(p^(m-1)), in [0, p)."""
+        """Absolute trace Tr(x) = x + x^p + ... + x^(p^(m-1)), in [0, p).
+
+        Tr is GF(p)-linear, so Tr(x) = sum_i c_i * Tr(t^i) mod p over the
+        digits c_i of x; under the table cap that sum is tabulated once.
+        """
         self._check(x)
-        if self.m == 1:
-            return x
-        if self._trace_tab is None and self.q <= _TABLE_Q_CAP:
-            self._trace_tab = [self._trace_direct(v) for v in range(self.q)]
+        if self._trace_basis is None:
+            self._build_trace()
         if self._trace_tab is not None:
             return self._trace_tab[x]
-        return self._trace_direct(x)
+        return sum(c * w for c, w in zip(self.decode(x), self._trace_basis)) % self.p
 
-    def _trace_direct(self, x: int) -> int:
-        acc, t = x, x
-        for _ in range(self.m - 1):
-            t = self.pow(t, self.p)
-            acc = self.add(acc, t)
-        # the trace lands in the prime subfield, whose encodings are < p
-        assert acc < self.p
-        return acc
+    def _build_trace(self):
+        p, basis = self.p, []
+        for y in self._ppow[:-1]:  # t^i is encoded as p^i
+            # Tr(t^i) from the definition: it lies in GF(p), so the digits
+            # of the conjugates y^(p^j) cancel except the constant ones
+            acc = y % p
+            for _ in range(self.m - 1):
+                y = self._pow_direct(y, p)
+                acc += y % p
+            basis.append(acc % p)
+        self._trace_basis = basis
+        if self.q <= _TABLE_Q_CAP:
+            # by linearity, one digit at a time: tab[c*p^i + s] = tab[s] + c*Tr(t^i)
+            tab = [0]
+            for w in basis:
+                tab = [(s + c * w) % p for c in range(p) for s in tab]
+            self._trace_tab = tab
 
     def quad_char(self, x: int) -> int:
-        """Quadratic character: 0 at 0, +1 on nonzero squares, -1 otherwise."""
+        """Quadratic character by Euler's criterion: 0 at 0, otherwise
+        x^((q-1)/2), which is +1 on nonzero squares and -1 on the rest."""
         if self.q % 2 == 0:
             raise ValueError("quadratic character requires odd q")
-        self._check(x)
         if x == 0:
             return 0
-        if self.m == 1:
-            return 1 if pow(x, (self.p - 1) // 2, self.p) == 1 else -1
-        if self.q > _TABLE_Q_CAP:  # Euler's criterion; no O(q) tables above the cap
-            return 1 if self._pow_direct(x, (self.q - 1) // 2) == 1 else -1
-        if self._exp is None:
-            self._build_tables()
-        return 1 if self._log[x] % 2 == 0 else -1
+        return 1 if self.pow(x, (self.q - 1) // 2) == 1 else -1
 
 
 def parse_field_spec(spec: str) -> FiniteField:

@@ -203,3 +203,21 @@ def test_weighted_identity_small_grid(grid_fields):
                 spec = DicksonSpec(F, n, a)
                 for b in F.elements():
                     assert weighted_identity_check(AdditiveCharacter(F, b), spec) <= TOL_IDENTITY
+
+
+# --- character-table cache --------------------------------------------------
+
+
+def test_charsum_suite_builds_each_table_once_in_a_bounded_cache():
+    # the suite visits 2 * 63 (n, a) cells; with characters outermost each of
+    # the 64 psi tables is built once while at most the cache bound is held
+    from dicksonrs import charsum
+    from dicksonrs.cli import ExperimentConfig, run_suite
+
+    charsum._psi_table.cache_clear()
+    cfg = ExperimentConfig.from_text("field=2^6\nsuites=charsum\nn=2..3")
+    report = run_suite(cfg)
+    assert all(inst.status == "pass" for inst in report.suites[0].instances)
+    info = charsum._psi_table.cache_info()
+    assert info.currsize <= charsum._PSI_CACHE_SIZE
+    assert info.misses == 64

@@ -6,15 +6,15 @@ values; the counting formulas are then checked against full enumeration.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from dicksonrs import (
     DicksonSpec,
     FiniteField,
-    dickson_coeffs,
+    Polynomial,
     dickson_eval,
-    dickson_poly,
     preimage_count,
     value_counts,
     value_set,
@@ -32,6 +32,30 @@ def test_spec_validation():
 
 
 # --- closed-form coefficients ----------------------------------------------
+# The binomial closed form is the oracle for the recurrence the library uses.
+
+
+def dickson_coeffs(n: int) -> list[int]:
+    """Integer closed-form coefficients, before reduction mod p.
+
+    Entry i multiplies a^i * x^(n-2i):  n/(n-i) * C(n-i, i) * (-1)^i.
+    The quotient is always integral; we assert rather than trust.
+    """
+    out = []
+    for i in range(n // 2 + 1):
+        num = n * comb(n - i, i)
+        assert num % (n - i) == 0
+        out.append((num // (n - i)) * (-1) ** i)
+    return out
+
+
+def dickson_poly(spec: DicksonSpec) -> Polynomial:
+    """D_n(x, a) materialised as a polynomial in x, via the closed form."""
+    F, n, a = spec.field, spec.n, spec.a
+    coeffs = [0] * (n + 1)
+    for i, c in enumerate(dickson_coeffs(n)):
+        coeffs[n - 2 * i] = F.mul(F.from_int(c), F.pow(a, i))
+    return Polynomial(F, coeffs)
 
 
 def test_dickson_coeffs_small():

@@ -34,6 +34,10 @@ def naive_add(F, x, y):
     return _enc([(a + b) % F.p for a, b in zip(cx, cy)], F.p)
 
 
+def naive_neg(F, x):
+    return _enc([(-c) % F.p for c in _dec(x, F.p, F.m)], F.p)
+
+
 def naive_mul(F, x, y):
     p, m = F.p, F.m
     cx, cy = _dec(x, p, m), _dec(y, p, m)
@@ -49,6 +53,18 @@ def naive_mul(F, x, y):
             for j in range(m + 1):
                 prod[i - m + j] = (prod[i - m + j] - c * mod[j]) % p
     return _enc(prod[:m], p)
+
+
+def naive_trace(F, x):
+    """x + x^p + ... + x^(p^(m-1)), each p-th power by p-1 naive products."""
+    acc, y = x, x
+    for _ in range(F.m - 1):
+        z = y
+        for _ in range(F.p - 1):
+            z = naive_mul(F, z, y)
+        y = z
+        acc = naive_add(F, acc, y)
+    return acc
 
 
 # --- construction -----------------------------------------------------------
@@ -106,10 +122,30 @@ def test_field_spec_roundtrip():
 @pytest.mark.parametrize("q", [4, 8, 9, 16])
 def test_tables_match_naive_construction(q, grid_fields):
     F = grid_fields[q]
+    naive_inv = {x: y for x in F.units() for y in F.units() if naive_mul(F, x, y) == 1}
     for x in F.elements():
+        assert F.neg(x) == naive_neg(F, x)
+        if x:
+            assert F.inv(x) == naive_inv[x]
         for y in F.elements():
             assert F.add(x, y) == naive_add(F, x, y)
+            assert F.sub(x, y) == naive_add(F, x, naive_neg(F, y))
             assert F.mul(x, y) == naive_mul(F, x, y)
+
+
+@pytest.mark.parametrize("p, m", [(3, 11), (2, 17)])
+def test_ops_above_table_cap_match_naive(p, m):
+    # direct paths: digit-loop add (odd p), bit-loop or polynomial mul
+    F = FiniteField(p, m)
+    rng = random.Random(p * m)
+    for _ in range(20):
+        x, y = rng.randrange(F.q), rng.randrange(1, F.q)
+        assert F.add(x, y) == naive_add(F, x, y)
+        assert F.neg(x) == naive_neg(F, x)
+        assert F.sub(x, y) == naive_add(F, x, naive_neg(F, y))
+        assert F.mul(x, y) == naive_mul(F, x, y)
+        assert naive_mul(F, y, F.inv(y)) == 1
+    assert F._exp is None
 
 
 def test_gf4_mul_example(grid_fields):
@@ -154,6 +190,15 @@ def test_out_of_range_elements_rejected(grid_fields):
         F.add(-1, 1)
 
 
+def test_encode_rejects_more_than_m_coefficients():
+    F = FiniteField(2, 2)
+    assert F.encode([1, 1]) == 3
+    with pytest.raises(ValueError):
+        F.encode([0, 0, 1])  # t^2 would encode as 4, outside GF(4)
+    with pytest.raises(ValueError):
+        F.encode([0, 0, 0, 1])
+
+
 def test_encode_decode_bijection(grid_fields):
     for F in grid_fields.values():
         seen = set()
@@ -188,6 +233,24 @@ def test_trace_additive(grid_fields):
             assert F.trace(F.pow(x, F.p)) == F.trace(x)
             for y in F.elements():
                 assert F.trace(F.add(x, y)) == (F.trace(x) + F.trace(y)) % F.p
+
+
+@pytest.mark.parametrize("capped", [False, True])
+@pytest.mark.parametrize("p, m", [(2, 5), (3, 3), (5, 2)])
+def test_trace_matches_definition(p, m, capped, monkeypatch):
+    if capped:  # every field is now above the cap: trace from the digits
+        monkeypatch.setattr(gf, "_TABLE_Q_CAP", 1)
+    F = FiniteField(p, m)
+    assert [F.trace(x) for x in F.elements()] == [naive_trace(F, x) for x in F.elements()]
+    assert (F._trace_tab is None) == capped
+
+
+@pytest.mark.parametrize("p, m", [(2, 17), (3, 11)])
+def test_trace_above_table_cap_matches_definition(p, m):
+    F = FiniteField(p, m)
+    for x in random.Random(p * m).sample(range(F.q), 20):
+        assert F.trace(x) == naive_trace(F, x)
+    assert F._trace_tab is None
 
 
 # --- quadratic character ----------------------------------------------------
@@ -292,8 +355,9 @@ def test_kernels_match_checked_ops(pm, data):
     add, mul = F.kernels()
     x = data.draw(st.integers(0, F.q - 1))
     y = data.draw(st.sampled_from([0, 1, x, F.neg(x)]) | st.integers(0, F.q - 1))
-    assert add(x, y) == F.add(x, y)
-    assert mul(x, y) == F.mul(x, y)
+    # the naive ops are the oracle; the checked ops call the same kernels
+    assert add(x, y) == naive_add(F, x, y) == F.add(x, y)
+    assert mul(x, y) == naive_mul(F, x, y) == F.mul(x, y)
 
 
 @pytest.mark.parametrize("q", [27, 25, 49])
