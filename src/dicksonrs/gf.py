@@ -450,10 +450,10 @@ class FiniteField:
             basis.append(acc % p)
         self._trace_basis = basis
         if self.q <= _TABLE_Q_CAP:
-            # by linearity, one digit at a time: tab[c*p^i + s] = tab[s] + c*Tr(t^i)
+            # by linearity, one digit at a time: tab[c*p^i + j] = tab[j] + c*Tr(t^i)
             tab = [0]
             for w in basis:
-                tab = [(s + c * w) % p for c in range(p) for s in tab]
+                tab = [(v + c * w) % p for c in range(p) for v in tab]
             self._trace_tab = tab
 
     def quad_char(self, x: int) -> int:

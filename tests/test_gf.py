@@ -133,9 +133,10 @@ def test_tables_match_naive_construction(q, grid_fields):
             assert F.mul(x, y) == naive_mul(F, x, y)
 
 
-@pytest.mark.parametrize("p, m", [(3, 11), (2, 17)])
-def test_ops_above_table_cap_match_naive(p, m):
-    # direct paths: digit-loop add (odd p), bit-loop or polynomial mul
+@pytest.mark.parametrize("p, m", [(2, 17), (3, 11)])
+def test_ops_and_trace_above_table_cap_match_naive(p, m):
+    # direct paths: digit-loop add (odd p), bit-loop or polynomial mul, and
+    # the trace summed from the digits, on 20 random elements
     F = FiniteField(p, m)
     rng = random.Random(p * m)
     for _ in range(20):
@@ -145,7 +146,8 @@ def test_ops_above_table_cap_match_naive(p, m):
         assert F.sub(x, y) == naive_add(F, x, naive_neg(F, y))
         assert F.mul(x, y) == naive_mul(F, x, y)
         assert naive_mul(F, y, F.inv(y)) == 1
-    assert F._exp is None
+        assert F.trace(x) == naive_trace(F, x)
+    assert F._exp is None and F._trace_tab is None
 
 
 def test_gf4_mul_example(grid_fields):
@@ -243,14 +245,6 @@ def test_trace_matches_definition(p, m, capped, monkeypatch):
     F = FiniteField(p, m)
     assert [F.trace(x) for x in F.elements()] == [naive_trace(F, x) for x in F.elements()]
     assert (F._trace_tab is None) == capped
-
-
-@pytest.mark.parametrize("p, m", [(2, 17), (3, 11)])
-def test_trace_above_table_cap_matches_definition(p, m):
-    F = FiniteField(p, m)
-    for x in random.Random(p * m).sample(range(F.q), 20):
-        assert F.trace(x) == naive_trace(F, x)
-    assert F._trace_tab is None
 
 
 # --- quadratic character ----------------------------------------------------
