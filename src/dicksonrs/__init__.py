@@ -30,10 +30,10 @@ from .charsum import (
     AdditiveCharacter,
     CharSumReport,
     char_eval,
-    characters,
     nontrivial_characters,
     sum_over_value_set,
     weighted_identity_check,
+    weighted_sum,
     weil_sum_1,
     weil_sum_2,
     weil_sum_3,

@@ -11,6 +11,7 @@ by the bound checks (TOL_SLACK = 1e-6 for inequalities, TOL_IDENTITY =
 
 Summation always runs in element-encoding order, so results are
 deterministic and independent of any partitioning a caller might do.
+Each sum over F_q reads one composed row, psi_b(D_n(x,a)) for every x.
 
 The four verified estimates, all of Weil type with explicit constants:
 
@@ -21,8 +22,8 @@ The four verified estimates, all of Weil type with explicit constants:
 
 plus the exact weighted identity
     sum_{y in D} psi(y) = sum_{x in F_q} psi(D_n(x,a)) / N_x
-whose right side uses the preimage-count formula for N_x, making the
-check an end-to-end validation of that formula.
+whose left side is the lemma's sum and whose right side (`weighted_sum`)
+uses the preimage-count formula for N_x, an end-to-end check of that formula.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ __all__ = [
     "AdditiveCharacter",
     "CharSumReport",
     "char_eval",
-    "characters",
     "nontrivial_characters",
     "sum_over_value_set",
     "weighted_identity_check",
+    "weighted_sum",
     "weil_sum_1",
     "weil_sum_2",
     "weil_sum_3",
@@ -69,9 +70,6 @@ class AdditiveCharacter:
     def is_trivial(self) -> bool:
         return self.b == 0
 
-    def eval(self, x: int) -> complex:
-        return char_eval(self, x)
-
 
 @dataclass(frozen=True)
 class CharSumReport:
@@ -83,11 +81,6 @@ class CharSumReport:
     slack: float
     terms: int
     bound_applies: bool = True
-
-
-def characters(field: FiniteField):
-    """All q additive characters, trivial one first."""
-    return (AdditiveCharacter(field, b) for b in field.elements())
 
 
 def nontrivial_characters(field: FiniteField):
@@ -124,6 +117,12 @@ def char_eval(psi: AdditiveCharacter, x: int) -> complex:
     """psi_b(x) as a unit-modulus complex number (exact +-1 when p = 2)."""
     psi.field._check(x)
     return complex(_psi_table(psi.field, psi.b)[x])
+
+
+def _composed(b: int, spec: DicksonSpec) -> list:
+    """psi_b(D_n(x,a)) for every x, in encoding order."""
+    tab = _psi_table(spec.field, b)
+    return [tab[v] for v in values_vector(spec)]
 
 
 def _report(total, terms: int, bound: float, bound_applies: bool = True) -> CharSumReport:
@@ -164,10 +163,7 @@ def weil_sum_1(psi: AdditiveCharacter, spec: DicksonSpec) -> CharSumReport:
     if spec.a == 0:
         raise ValueError("bound requires a != 0")
     F = spec.field
-    tab = _psi_table(F, psi.b)
-    dv = values_vector(spec)
-    total = sum(tab[v] for v in dv)
-    return _report(total, F.q, (spec.n - 1) * sqrt(F.q))
+    return _report(sum(_composed(psi.b, spec)), F.q, (spec.n - 1) * sqrt(F.q))
 
 
 @lru_cache(maxsize=None)
@@ -187,10 +183,8 @@ def weil_sum_2(psi: AdditiveCharacter, spec: DicksonSpec) -> CharSumReport:
         raise ValueError("bound requires a nontrivial character")
     if spec.a == 0:
         raise ValueError("bound requires a != 0")
-    tab = _psi_table(F, psi.b)
     eta = _eta_vector(F, spec.a)
-    dv = values_vector(spec)
-    total = sum(e * tab[v] for e, v in zip(eta, dv) if e)
+    total = sum(e * t for e, t in zip(eta, _composed(psi.b, spec)) if e)
     return _report(total, F.q, (spec.n + 1) * sqrt(F.q))
 
 
@@ -228,12 +222,10 @@ def weil_sum_3(b: int, spec: DicksonSpec) -> tuple[CharSumReport, CharSumReport]
     if spec.a == 0 or b == 0:
         raise ValueError("requires a != 0 and b != 0")
     F._check(b)
-    tab_b = _psi_table(F, b)
     t_sq, t_lin = _weil3_shift_tables(F, spec.a)
-    dv = values_vector(spec)
-    units = range(1, F.q)
-    total1 = sum(tab_b[dv[x]] * t_sq[x - 1] for x in units)
-    total2 = sum(tab_b[dv[x]] * t_lin[x - 1] for x in units)
+    row = _composed(b, spec)[1:]  # x in F_q^*, as the shift tables
+    total1 = sum(t * s for t, s in zip(row, t_sq))
+    total2 = sum(t * s for t, s in zip(row, t_lin))
     bound = (spec.n + 1) * sqrt(F.q)
     return _report(total1, F.q - 1, bound), _report(total2, F.q - 1, bound)
 
@@ -244,17 +236,17 @@ def _preimage_weights(spec: DicksonSpec) -> tuple[float, ...]:
     return tuple(1.0 / preimage_count(spec, x).count for x in spec.field.elements())
 
 
+def weighted_sum(psi: AdditiveCharacter, spec: DicksonSpec) -> complex:
+    """sum_x psi(D_n(x,a)) / N_x, the weighted identity's right side."""
+    w = _preimage_weights(spec)
+    return complex(sum(t * wx for t, wx in zip(_composed(psi.b, spec), w)))
+
+
 def weighted_identity_check(psi: AdditiveCharacter, spec: DicksonSpec) -> float:
-    """|sum_{y in D} psi(y) - sum_x psi(D_n(x,a))/N_x|.
+    """|sum_over_value_set(psi, D).sum - weighted_sum(psi, spec)|.
 
     N_x comes from the formula, the left side from enumeration, so a small
     deviation certifies the formula at every point of this (n, a) grid cell.
     """
-    spec._require_formula_domain()
-    F = spec.field
-    tab = _psi_table(F, psi.b)
-    dv = values_vector(spec)
-    lhs = sum(tab[y] for y in sorted(set(dv)))
-    w = _preimage_weights(spec)
-    rhs = sum(tab[v] * w[x] for x, v in enumerate(dv))
-    return abs(complex(lhs) - complex(rhs))
+    D = EvaluationSet(spec, tuple(sorted(set(values_vector(spec)))))
+    return abs(sum_over_value_set(psi, D).sum - weighted_sum(psi, spec))

@@ -5,10 +5,10 @@ suite.  Every command emits JSON (canonical key order); `suite` can also
 emit CSV with one row per grid instance.  There is no randomness anywhere
 in the core, so a given invocation always produces byte-identical output.
 
-Budgets fail soft inside `suite`: an instance whose enumeration, subset
-scan, or DP table would exceed its cap is recorded as "skipped: budget ..."
-and the remaining instances still run.  The process exit status is 0 iff
-no instance failed.
+Budgets fail soft inside `suite`: an instance whose enumeration or DP
+table would exceed its cap is recorded as "skipped: budget ...", one whose
+subset scans would is decided by the subset-sum test alone, and the rest
+still run.  The process exit status is 0 iff no instance failed.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .charsum import (
     AdditiveCharacter,
     sum_over_value_set,
     weighted_identity_check,
+    weighted_sum,
     weil_sum_1,
     weil_sum_2,
     weil_sum_3,
@@ -48,6 +49,7 @@ from .rscode import (
     DEFAULT_SUBSET_BUDGET,
     RSCodeSpec,
     ReceivedWord,
+    _dp_guard,
     deg_k1_deep_hole_test,
     error_distance_bf,
     count_Nu,
@@ -306,7 +308,8 @@ def _run_preimage(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
 
 def _charsum_worst(psi: AdditiveCharacter, spec: DicksonSpec, D) -> tuple[float, float, float]:
     """(least slack, identity deviation, weil3 pair gap) of one character on one cell."""
-    slack = min(sum_over_value_set(psi, D).slack, weil_sum_1(psi, spec).slack)
+    lemma = sum_over_value_set(psi, D)
+    slack = min(lemma.slack, weil_sum_1(psi, spec).slack)
     gap = 0.0
     if spec.field.q % 2 == 1:
         slack = min(slack, weil_sum_2(psi, spec).slack)
@@ -314,7 +317,7 @@ def _charsum_worst(psi: AdditiveCharacter, spec: DicksonSpec, D) -> tuple[float,
         r1, r2 = weil_sum_3(psi.b, spec)
         slack = min(slack, r1.slack, r2.slack)
         gap = abs(r1.sum - r2.sum)
-    return slack, weighted_identity_check(psi, spec), gap
+    return slack, abs(lemma.sum - weighted_sum(psi, spec)), gap
 
 
 def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
@@ -331,8 +334,9 @@ def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
             w_slack, w_dev, w_gap = worst[i]
             worst[i] = (min(w_slack, slack), max(w_dev, dev), max(w_gap, gap))
     trivial = AdditiveCharacter(F, 0)
-    for (slot, params, spec, _), (slack, dev, gap) in zip(cells, worst):
-        dev = max(dev, weighted_identity_check(trivial, spec))
+    for (slot, params, spec, D), (slack, dev, gap) in zip(cells, worst):
+        # the trivial character's lemma sum is exactly |D|
+        dev = max(dev, abs(D.size - weighted_sum(trivial, spec)))
         ok = slack >= -TOL_SLACK and dev <= TOL_IDENTITY and gap <= TOL_IDENTITY
         detail = f"worst_slack={slack:.3e} identity_dev={dev:.3e}"
         out[slot] = InstanceResult("charsum", params, "pass" if ok else "fail", detail)
@@ -409,7 +413,9 @@ def _run_deephole(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
                                    "skipped: no degree-(k+1) words (k+1 > |D|-1)")
                 )
                 continue
-            if D.size * (k + 1) * F.q > cfg.budget_dp:
+            try:
+                _dp_guard(D.size, k + 1, F.q, cfg.budget_dp)
+            except ValueError:
                 out.append(
                     InstanceResult("deephole", params, "skipped", "skipped: budget (DP)")
                 )
@@ -590,14 +596,14 @@ def _cmd_charsum(args) -> int:
     F = parse_field_spec(args.field)
     spec = DicksonSpec(F, args.n, args.a)
     bs = list(F.units()) if args.all_characters else [1 if args.b is None else args.b]
+    D = value_set(spec) if args.which == "lemma" else None
     reports = []
     all_pass = True
     for b in bs:
         psi = AdditiveCharacter(F, b)
         entry = {"b": b, "which": args.which}
         if args.which == "lemma":
-            rep = sum_over_value_set(psi, value_set(spec))
-            entry.update(_charsum_report_dict(rep))
+            entry.update(_charsum_report_dict(sum_over_value_set(psi, D)))
         elif args.which == "weil1":
             entry.update(_charsum_report_dict(weil_sum_1(psi, spec)))
         elif args.which == "weil2":

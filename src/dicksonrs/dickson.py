@@ -125,7 +125,8 @@ def value_counts(spec: DicksonSpec, budget: int = DEFAULT_ENUM_BUDGET) -> dict[i
     if spec.field.q > budget:
         raise ValueError(f"q = {spec.field.q} exceeds the enumeration budget {budget}")
     counts: dict[int, int] = {}
-    for v in values_vector(spec):
+    # not values_vector: its cache is the character sums' working set
+    for v in _eval_recurrence(spec.field, spec.n, spec.a, spec.field.elements()):
         counts[v] = counts.get(v, 0) + 1
     return counts
 

@@ -18,8 +18,9 @@ Dickson value set D compares
 
 where (x)_j denotes the falling factorial.  lhs > rhs guarantees every
 target is hit.  Falling factorials of tens of thousands of terms are
-evaluated as sums of logarithms in 100-bit arithmetic (mpmath), and the
-lhs/rhs comparison reports near-ties instead of silently deciding them.
+evaluated as differences of log-gamma values in 100-bit arithmetic
+(mpmath), and the lhs/rhs comparison reports near-ties instead of
+silently deciding them.
 """
 
 from __future__ import annotations
@@ -199,13 +200,11 @@ class BoundReport:
 
 
 def _log_falling(x, j: int):
-    """ln (x)_j at 100-bit precision; requires x - j + 1 > 0."""
+    """ln (x)_j = ln Gamma(x+1) - ln Gamma(x-j+1) at the working precision;
+    requires x - j + 1 > 0."""
     import mpmath  # deferred: only the bound check needs it
 
-    total = mpmath.mpf(0)
-    for l in range(j):
-        total += mpmath.log(x - l)
-    return total
+    return mpmath.loggamma(x + 1) - mpmath.loggamma(x - j + 1)
 
 
 def main_bound_check(q: int, n: int, size_d: int, k: int) -> BoundReport:

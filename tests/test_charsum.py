@@ -14,10 +14,13 @@ from dicksonrs import (
     AdditiveCharacter,
     DicksonSpec,
     char_eval,
+    dickson_eval,
     nontrivial_characters,
+    preimage_count,
     sum_over_value_set,
     value_set,
     weighted_identity_check,
+    weighted_sum,
     weil_sum_1,
     weil_sum_2,
     weil_sum_3,
@@ -176,6 +179,61 @@ def test_bounds_hold_on_small_grid(grid_fields):
                     assert weil_sum_1(psi, spec).slack >= -TOL_SLACK
                     if q % 2 == 1:
                         assert weil_sum_2(psi, spec).slack >= -TOL_SLACK
+
+
+# --- composed sums against term-by-term evaluation ---------------------------
+
+_ORACLE_CELLS = [(2, 1), (3, 2), (4, 3), (5, 1)]
+
+
+def _oracle_sums(psi, spec):
+    """weil1, weil2 (odd q), the weil3 pair (even q) and the weighted sum,
+    each evaluated term by term from dickson_eval, char_eval and
+    preimage_count in encoding order."""
+    F, a = spec.field, spec.a
+    psi_1 = AdditiveCharacter(F, 1)
+    vals = [dickson_eval(spec, x) for x in F.elements()]
+    sums = {
+        "weil1": sum(char_eval(psi, v) for v in vals),
+        "weighted": sum(
+            char_eval(psi, v) / preimage_count(spec, x).count for x, v in enumerate(vals)
+        ),
+    }
+    if F.q % 2 == 1:
+        four_a = F.mul(F.from_int(4), a)
+        etas = [F.quad_char(F.sub(F.mul(x, x), four_a)) for x in F.elements()]
+        sums["weil2"] = sum(e * char_eval(psi, v) for e, v in zip(etas, vals) if e)
+    else:
+        sqrt_a = F.pow(a, F.q // 2)
+        bv = [F.mul(psi.b, v) for v in vals]
+        inv = [None] + [F.inv(x) for x in F.units()]
+        sums["weil3_sq"] = sum(
+            char_eval(psi_1, F.add(bv[x], F.mul(a, F.mul(inv[x], inv[x])))) for x in F.units()
+        )
+        sums["weil3_lin"] = sum(
+            char_eval(psi_1, F.add(bv[x], F.mul(sqrt_a, inv[x]))) for x in F.units()
+        )
+    return sums
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 16, 27])
+def test_composed_sums_match_term_by_term_oracle(grid_fields, q):
+    # exact in characteristic 2 (every term is +-1 or +-1/N_x); to 1e-12 otherwise
+    F = grid_fields[q]
+    tol = 0.0 if F.p == 2 else 1e-12
+    for n, a in _ORACLE_CELLS:
+        spec = DicksonSpec(F, n, a)
+        for b in F.units():
+            psi = AdditiveCharacter(F, b)
+            got = {"weil1": weil_sum_1(psi, spec).sum, "weighted": weighted_sum(psi, spec)}
+            if q % 2 == 1:
+                got["weil2"] = weil_sum_2(psi, spec).sum
+            else:
+                got["weil3_sq"], got["weil3_lin"] = (r.sum for r in weil_sum_3(b, spec))
+            want = _oracle_sums(psi, spec)
+            assert got.keys() == want.keys()
+            for key in got:
+                assert abs(got[key] - want[key]) <= tol, (q, n, a, b, key)
 
 
 # --- the weighted identity --------------------------------------------------

@@ -311,3 +311,17 @@ def test_cli_import_leaves_mpmath_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_enumerating_suites_leave_the_values_vector_cache_empty():
+    # valueset, preimage, sieve and deephole enumerate each (n, a) cell once;
+    # none of them may keep a q-tuple per cell in values_vector's cache
+    from dicksonrs.dickson import values_vector
+
+    values_vector.cache_clear()
+    cfg = ExperimentConfig.from_text(
+        "field=2^5\nsuites=valueset,preimage,sieve,deephole\nn=2..3\nk=1"
+    )
+    report = run_suite(cfg)
+    assert all(i.status != "fail" for s in report.suites for i in s.instances)
+    assert values_vector.cache_info().currsize == 0

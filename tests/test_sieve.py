@@ -10,6 +10,7 @@ from dicksonrs import (
     C_k_eval,
     C_k_periodic_bound,
     DicksonSpec,
+    char_eval,
     cycle_types,
     falling_factorial,
     main_bound_check,
@@ -144,7 +145,7 @@ def test_sieve_identity_k1_and_k2(grid_fields):
     d1, v1 = sieve_identity_F(D, psi, 1)
     assert abs(d1 - v1) <= 1e-12
     # k = 2: direct = S_1^2 - S_2
-    tab = [psi.eval(x) for x in F.elements()]
+    tab = [char_eval(psi, x) for x in F.elements()]
     s1 = sum(tab[x] for x in D.elems)
     s2 = sum(tab[F.mul(F.from_int(2), x)] for x in D.elems)
     d2, v2 = sieve_identity_F(D, psi, 2)
@@ -218,6 +219,43 @@ def test_main_bound_large_k_log_path():
     assert rep.lhs == float("inf")  # too big for a double, log path decides
     assert rep.guaranteed
     assert rep.log10_lhs > rep.log10_rhs
+
+
+def test_main_bound_exact_chain_ends_at_21316():
+    # q = 2^16, n = 3: the exact chain holds up to k = 21316 and fails after
+    assert main_bound_check(65536, 3, 43691, 21316).guaranteed
+    assert not main_bound_check(65536, 3, 43691, 21317).guaranteed
+
+
+def _log_falling_loop(x, j):
+    """ln (x)_j as j logarithms summed in order: the closed form's oracle."""
+    import mpmath
+
+    total = mpmath.mpf(0)
+    for l in range(j):
+        total += mpmath.log(x - l)
+    return total
+
+
+def test_log_falling_closed_form_matches_log_sum():
+    # the doubles main_bound_check derives (log10, and exp below 700) agree
+    # bit for bit, with and without the 1/q factor, up to j = |D|
+    import mpmath
+
+    from dicksonrs.sieve import _MP_PREC, _log_falling
+
+    for q, n, size_d in [(7, 2, 4), (64, 3, 33), (243, 4, 62), (1024, 4, 200), (65536, 3, 43691)]:
+        js = {1, 2, 3, size_d // 2, size_d - 1, size_d} if q < 65536 else {1, 17, 2000, 21317}
+        with mpmath.workprec(_MP_PREC):
+            base = (n + 1) * mpmath.sqrt(q) / 2 + mpmath.mpf(size_d) / 2
+            for j in sorted(js):
+                for x in (mpmath.mpf(size_d), base + j - 1):
+                    for shift in (0, mpmath.log(q)):
+                        want = _log_falling_loop(x, j) - shift
+                        got = _log_falling(x, j) - shift
+                        assert float(got / mpmath.log(10)) == float(want / mpmath.log(10))
+                        if want < 700:
+                            assert float(mpmath.exp(got)) == float(mpmath.exp(want))
 
 
 def test_simplified_implies_guaranteed():
