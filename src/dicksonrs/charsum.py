@@ -242,11 +242,10 @@ def weighted_sum(psi: AdditiveCharacter, spec: DicksonSpec) -> complex:
     return complex(sum(t * wx for t, wx in zip(_composed(psi.b, spec), w)))
 
 
-def weighted_identity_check(psi: AdditiveCharacter, spec: DicksonSpec) -> float:
-    """|sum_over_value_set(psi, D).sum - weighted_sum(psi, spec)|.
+def weighted_identity_check(psi: AdditiveCharacter, D: EvaluationSet) -> float:
+    """|sum_over_value_set(psi, D).sum - weighted_sum(psi, D.spec)|.
 
     N_x comes from the formula, the left side from enumeration, so a small
     deviation certifies the formula at every point of this (n, a) grid cell.
     """
-    D = EvaluationSet(spec, tuple(sorted(set(values_vector(spec)))))
-    return abs(sum_over_value_set(psi, D).sum - weighted_sum(psi, spec))
+    return abs(sum_over_value_set(psi, D).sum - weighted_sum(psi, D.spec))

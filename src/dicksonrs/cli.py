@@ -56,6 +56,7 @@ from .rscode import (
     monomial_word,
 )
 from .sieve import (
+    DIRECT_MAX_D,
     C_k_eval,
     C_k_periodic_bound,
     cycle_types,
@@ -96,18 +97,29 @@ def _format_range(vals: tuple[int, ...]) -> str:
 
 
 # Each suite setting: its config key, which is also its `suite` flag name,
-# and the parser of its text.  Config files and flags both go through here.
+# mapped to (parser of its text, formatter back to text, flag help).  Config
+# files, flags and `ExperimentConfig.to_text` all go through here, in this
+# key order; a formatter returning None leaves its key out of the text.
 _SETTINGS = {
-    "field": str,
-    "suites": lambda text: tuple(s.strip() for s in text.split(",") if s.strip()),
-    "n": lambda text: _parse_range(text, "n"),
-    "a": lambda text: None if text == "all" else _parse_range(text, "a"),
-    "k": lambda text: _parse_range(text, "k"),
-    "c1": float,
-    "out": str,
-    "format": str,
-    "budget-subsets": int,
-    "budget-dp": int,
+    "field": (str, str, "field spec: p, p^m, or p^m/c0,...,cm"),
+    "suites": (
+        lambda text: tuple(s.strip() for s in text.split(",") if s.strip()),
+        ",".join,
+        f"comma list from {', '.join(SUITE_NAMES)} or 'all'",
+    ),
+    "n": (lambda text: _parse_range(text, "n"), _format_range, "range: 3, 2..12, or 2,3,5"),
+    "a": (
+        lambda text: None if text == "all" else _parse_range(text, "a"),
+        lambda a: "all" if a is None else _format_range(a),
+        "range as for --n, or 'all'",
+    ),
+    "k": (lambda text: _parse_range(text, "k"), _format_range, "range as for --n"),
+    "c1": (float, repr, "region gate constant c1 (default 0.015)"),
+    "format": (str, str, "report format: json or csv (default json)"),
+    "budget-subsets": (
+        int, str, f"cap on brute-force subset scans (default {DEFAULT_SUBSET_BUDGET})"),
+    "budget-dp": (int, str, f"cap on subset-sum DP size |D|*r*q (default {DEFAULT_DP_BUDGET})"),
+    "out": (str, lambda out: out, "write output to this path instead of stdout"),
 }
 
 
@@ -157,20 +169,12 @@ class ExperimentConfig:
         return self.a if self.a is not None else tuple(F.units())
 
     def to_text(self) -> str:
-        lines = [
-            f"field={self.field}",
-            f"suites={','.join(self.suites)}",
-            f"n={_format_range(self.n)}",
-            f"a={'all' if self.a is None else _format_range(self.a)}",
-            f"k={_format_range(self.k)}",
-            f"c1={self.c1!r}",
-            f"format={self.format}",
-            f"budget-subsets={self.budget_subsets}",
-            f"budget-dp={self.budget_dp}",
-        ]
-        if self.out is not None:
-            lines.append(f"out={self.out}")
-        return "\n".join(lines) + "\n"
+        lines = []
+        for key, (_, fmt, _) in _SETTINGS.items():
+            text = fmt(getattr(self, key.replace("-", "_")))
+            if text is not None:
+                lines.append(f"{key}={text}\n")
+        return "".join(lines)
 
     @classmethod
     def from_text(cls, text: str, overrides: dict[str, str] | None = None) -> "ExperimentConfig":
@@ -191,7 +195,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown config key(s) {unknown}; keys are {sorted(_SETTINGS)}")
         if "field" not in kv:
             raise ValueError("config is missing the required key 'field' (or --field)")
-        return cls(**{key.replace("-", "_"): _SETTINGS[key](val) for key, val in kv.items()})
+        return cls(**{key.replace("-", "_"): _SETTINGS[key][0](val) for key, val in kv.items()})
 
     def echo(self) -> dict:
         doc = asdict(self)
@@ -206,10 +210,14 @@ class ExperimentConfig:
 
 @dataclass
 class InstanceResult:
-    suite: str
     params: dict
     status: str  # pass | fail | skipped
     detail: str = ""
+
+
+def _checked(params: dict, ok: bool, detail: str) -> InstanceResult:
+    """The record of an instance that ran its check."""
+    return InstanceResult(params, "pass" if ok else "fail", detail)
 
 
 @dataclass
@@ -254,18 +262,8 @@ class RunReport:
             ],
         }
 
-    def instance_rows(self) -> list[dict]:
-        rows = []
-        for s in self.suites:
-            for i in s.instances:
-                row = {"suite": s.name, "status": i.status, "detail": i.detail}
-                for key in ("q", "n", "a", "k", "b1", "x0", "check"):
-                    row[key] = i.params.get(key, "")
-                rows.append(row)
-        return rows
 
-
-def _cells(cfg: ExperimentConfig, F: FiniteField, suite: str, out: list, enumerate_=value_set):
+def _cells(cfg: ExperimentConfig, F: FiniteField, out: list, enumerate_=value_set):
     """Yield (params, spec, enumerate_(spec)) for each (n, a) cell of the grid;
     a cell whose enumeration exceeds its budget is recorded in `out` as skipped."""
     for n, a in product(cfg.n, cfg.a_values(F)):
@@ -274,35 +272,34 @@ def _cells(cfg: ExperimentConfig, F: FiniteField, suite: str, out: list, enumera
         try:
             values = enumerate_(spec)
         except ValueError as e:
-            out.append(InstanceResult(suite, params, "skipped", f"skipped: budget ({e})"))
+            out.append(InstanceResult(params, "skipped", f"skipped: budget ({e})"))
             continue
         yield params, spec, values
 
 
 def _run_valueset(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out = []
-    for params, spec, counts in _cells(cfg, F, "valueset", out, value_counts):
+    for params, spec, counts in _cells(cfg, F, out, value_counts):
         rep = value_set_size_formula(spec)
-        ok = rep.size == len(counts)
         detail = f"formula={rep.size} enum={len(counts)} delta={rep.delta}"
-        out.append(InstanceResult("valueset", params, "pass" if ok else "fail", detail))
+        out.append(_checked(params, rep.size == len(counts), detail))
     return out
 
 
 def _run_preimage(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out = []
-    for params, spec, counts in _cells(cfg, F, "preimage", out, value_counts):
+    for params, spec, counts in _cells(cfg, F, out, value_counts):
         bad = []
         for x0 in F.elements():
             rep = preimage_count(spec, x0)
             if rep.count != counts[rep.value]:
                 bad.append((x0, rep.count, counts[rep.value]))
+        detail = f"{F.q} points"
         if bad:
             x0, got, want = bad[0]
+            params = dict(params, x0=x0)
             detail = f"formula={got} brute={want} (+{len(bad) - 1} more)"
-            out.append(InstanceResult("preimage", dict(params, x0=x0), "fail", detail))
-        else:
-            out.append(InstanceResult("preimage", params, "pass", f"{F.q} points"))
+        out.append(_checked(params, not bad, detail))
     return out
 
 
@@ -322,7 +319,7 @@ def _charsum_worst(psi: AdditiveCharacter, spec: DicksonSpec, D) -> tuple[float,
 
 def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out, cells = [], []
-    for params, spec, D in _cells(cfg, F, "charsum", out):
+    for params, spec, D in _cells(cfg, F, out):
         cells.append((len(out), params, spec, D))
         out.append(None)  # filled in once every character has run on every cell
     # characters outermost, so each character table is built once for the grid
@@ -339,7 +336,7 @@ def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
         dev = max(dev, abs(D.size - weighted_sum(trivial, spec)))
         ok = slack >= -TOL_SLACK and dev <= TOL_IDENTITY and gap <= TOL_IDENTITY
         detail = f"worst_slack={slack:.3e} identity_dev={dev:.3e}"
-        out[slot] = InstanceResult("charsum", params, "pass" if ok else "fail", detail)
+        out[slot] = _checked(params, ok, detail)
     return out
 
 
@@ -354,14 +351,12 @@ def _run_sieve(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     for k in range(1, 8):
         closed, bound = C_k_periodic_bound(2.5, 9.0, 2, k)
         ok = ok and closed <= bound * (1 + 1e-12)
-    out.append(
-        InstanceResult("sieve", {"q": F.q, "check": "global"}, "pass" if ok else "fail",
-                       "cycle counts, rising factorial, periodic bound")
-    )
-    for params, spec, D in _cells(cfg, F, "sieve", out):
-        if D.size > 12:
+    out.append(_checked({"q": F.q, "check": "global"}, ok,
+                        "cycle counts, rising factorial, periodic bound"))
+    for params, spec, D in _cells(cfg, F, out):
+        if D.size > DIRECT_MAX_D:
             out.append(
-                InstanceResult("sieve", params, "skipped", "skipped: budget (|D| > 12)")
+                InstanceResult(params, "skipped", f"skipped: budget (|D| > {DIRECT_MAX_D})")
             )
             continue
         psi = AdditiveCharacter(F, 1)
@@ -369,10 +364,7 @@ def _run_sieve(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
         for k in range(1, min(4, D.size + 1)):
             direct, via = sieve_identity_F(D, psi, k)
             worst = max(worst, abs(direct - via))
-        ok = worst <= TOL_IDENTITY
-        out.append(
-            InstanceResult("sieve", params, "pass" if ok else "fail", f"identity_dev={worst:.3e}")
-        )
+        out.append(_checked(params, worst <= TOL_IDENTITY, f"identity_dev={worst:.3e}"))
     return out
 
 
@@ -404,21 +396,17 @@ def _deephole_report(word: ReceivedWord, budget_dp: int, budget_subsets: int | N
 
 def _run_deephole(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out = []
-    for cell, spec, D in _cells(cfg, F, "deephole", out):
+    for cell, spec, D in _cells(cfg, F, out):
         for k in cfg.k:
             params = dict(cell, k=k)
             if k + 2 > D.size:
-                out.append(
-                    InstanceResult("deephole", params, "skipped",
-                                   "skipped: no degree-(k+1) words (k+1 > |D|-1)")
-                )
+                out.append(InstanceResult(params, "skipped",
+                                          "skipped: no degree-(k+1) words (k+1 > |D|-1)"))
                 continue
             try:
                 _dp_guard(D.size, k + 1, F.q, cfg.budget_dp)
             except ValueError:
-                out.append(
-                    InstanceResult("deephole", params, "skipped", "skipped: budget (DP)")
-                )
+                out.append(InstanceResult(params, "skipped", "skipped: budget (DP)"))
                 continue
             code = RSCodeSpec.from_evaluation_set(D, k)
             crosscheck = comb(D.size, k) * F.q <= cfg.budget_subsets
@@ -440,26 +428,22 @@ def _run_deephole(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
             detail = bad or (
                 f"all {F.q} b1 values agree" + ("" if crosscheck else " (subset-sum only)")
             )
-            out.append(
-                InstanceResult("deephole", params, "fail" if bad else "pass", detail)
-            )
+            out.append(_checked(params, bad is None, detail))
     return out
 
 
 def _run_region(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out = []
     seen = set()
-    for n, a in product(cfg.n, cfg.a_values(F)):
-        size_d = value_set_size_formula(DicksonSpec(F, n, a)).size
-        key = (n, size_d)
+    for params, spec, size_d in _cells(cfg, F, out, lambda s: value_set_size_formula(s).size):
+        key = (spec.n, size_d)
         if key in seen:
             continue
         seen.add(key)
-        params = {"q": F.q, "n": n, "a": a}
         try:
-            region = region_solve(F.q, n, size_d, cfg.c1)
+            region = region_solve(F.q, spec.n, size_d, cfg.c1)
         except ValueError as e:
-            out.append(InstanceResult("region", params, "skipped", f"skipped: {e}"))
+            out.append(InstanceResult(params, "skipped", f"skipped: {e}"))
             continue
         # re-verify the scan inequality on (a prefix of) the window; an
         # empty window is a legitimate outcome, not a failure
@@ -472,7 +456,7 @@ def _run_region(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
             detail += " (empty window)"
         if region.paper_claim is not None:
             detail += f" paper_claim={region.paper_claim}"
-        out.append(InstanceResult("region", params, "pass" if ok else "fail", detail))
+        out.append(_checked(params, ok, detail))
     return out
 
 
@@ -506,10 +490,12 @@ def emit(report: RunReport, fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         fields = ["suite", "q", "n", "a", "k", "b1", "x0", "check", "status", "detail"]
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=fields, restval="", lineterminator="\n")
         writer.writeheader()
-        for row in report.instance_rows():
-            writer.writerow({f: row.get(f, "") for f in fields})
+        for s in report.suites:
+            for i in s.instances:
+                writer.writerow({"suite": s.name, **i.params, "status": i.status,
+                                 "detail": i.detail})
         return buf.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -596,7 +582,7 @@ def _cmd_charsum(args) -> int:
     F = parse_field_spec(args.field)
     spec = DicksonSpec(F, args.n, args.a)
     bs = list(F.units()) if args.all_characters else [1 if args.b is None else args.b]
-    D = value_set(spec) if args.which == "lemma" else None
+    D = value_set(spec) if args.which in ("lemma", "identity") else None
     reports = []
     all_pass = True
     for b in bs:
@@ -619,7 +605,7 @@ def _cmd_charsum(args) -> int:
                 and entry["pair_deviation"] <= TOL_IDENTITY
             )
         elif args.which == "identity":
-            dev = weighted_identity_check(psi, spec)
+            dev = weighted_identity_check(psi, D)
             entry["deviation"] = dev
             entry["tolerance"] = TOL_IDENTITY
             entry["pass"] = dev <= TOL_IDENTITY
@@ -704,9 +690,9 @@ def _cmd_suite(args) -> int:
 # parser: each subcommand declares exactly the flags its handler reads
 
 
-def _add_field(sp, required=True):
-    sp.add_argument("--field", required=required, help="field spec: p, p^m, or p^m/c0,...,cm")
-    sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
+def _add_field(sp):
+    sp.add_argument("--field", required=True, help=_SETTINGS["field"][2])
+    sp.add_argument("--out", help=_SETTINGS["out"][2])
 
 
 def _add_spec(sp, a_default=None):
@@ -756,10 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("deephole", help="degree-(k+1) deep-hole test via subset sums")
     _add_field(sp)
-    sp.add_argument("--budget-subsets", type=int, default=DEFAULT_SUBSET_BUDGET,
-                    help="cap on brute-force subset scans (default %(default)s)")
-    sp.add_argument("--budget-dp", type=int, default=DEFAULT_DP_BUDGET,
-                    help="cap on subset-sum DP size |D|*r*q (default %(default)s)")
+    for key, default in (("budget-subsets", DEFAULT_SUBSET_BUDGET),
+                         ("budget-dp", DEFAULT_DP_BUDGET)):
+        sp.add_argument(f"--{key}", type=int, default=default, help=_SETTINGS[key][2])
     _add_spec(sp)
     sp.add_argument("--k", type=int, required=True)
     group = sp.add_mutually_exclusive_group(required=True)
@@ -789,18 +774,9 @@ def build_parser() -> argparse.ArgumentParser:
     # every suite flag stays a raw string (None when absent) and goes through
     # the config parser, so it overrides the file's value only when given
     sp = sub.add_parser("suite", help="run verification suites over a grid")
-    _add_field(sp, required=False)
-    sp.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
-    sp.add_argument("--budget-subsets",
-                    help=f"cap on brute-force subset scans (default {DEFAULT_SUBSET_BUDGET})")
-    sp.add_argument("--budget-dp",
-                    help=f"cap on subset-sum DP size |D|*r*q (default {DEFAULT_DP_BUDGET})")
     sp.add_argument("--config", help="key=value config file; flags override its values")
-    sp.add_argument("--suites", help=f"comma list from {', '.join(SUITE_NAMES)} or 'all'")
-    sp.add_argument("--n", help="range: 3, 2..12, or 2,3,5")
-    sp.add_argument("--a", help="range as for --n, or 'all'")
-    sp.add_argument("--k", help="range as for --n")
-    sp.add_argument("--c1")
+    for key, (_, _, help_) in _SETTINGS.items():
+        sp.add_argument(f"--{key}", help=help_)
     sp.set_defaults(fn=_cmd_suite)
 
     return ap

@@ -4,7 +4,8 @@ Coefficients are stored dense, low-to-high, as element encodings of the
 owning field, with no trailing zeros (the zero polynomial has an empty
 coefficient tuple and degree -1, standing in for "minus infinity").
 Everything here is exact and any degree we ever see is at most |D| <= q,
-so the dense O(n^2) algorithms are the right tool.
+so the dense O(n^2) algorithms are the right tool.  `Polynomial.from_roots`
+is the one root product: Lagrange's master polynomial and a deep-hole witness.
 
 Coefficients are range-checked when a polynomial is built and evaluation
 points when they come in, so the inner loops run on the field's unchecked
@@ -40,8 +41,18 @@ class Polynomial:
         return cls(field, ())
 
     @classmethod
-    def monomial(cls, field: FiniteField, degree: int, coeff: int = 1) -> "Polynomial":
-        return cls(field, (0,) * degree + (coeff,))
+    def from_roots(cls, field: FiniteField, roots) -> "Polynomial":
+        """prod (X - r) over the given roots, built one linear factor at a time."""
+        add, mul = field.kernels()
+        out = [1]
+        for r in roots:
+            nxt = [0] * (len(out) + 1)
+            mr = field.neg(r)
+            for i, c in enumerate(out):
+                nxt[i + 1] = add(nxt[i + 1], c)
+                nxt[i] = add(nxt[i], mul(c, mr))
+            out = nxt
+        return cls(field, out)
 
     @property
     def degree(self) -> int:
@@ -147,15 +158,7 @@ def lagrange_interpolate(field: FiniteField, points) -> Polynomial:
     for _, y in pts:
         F._check(y)
     add, mul = F.kernels()
-    # master = prod (X - xi), built incrementally
-    master = [1]
-    for x in xs:
-        nxt = [0] * (len(master) + 1)
-        mx = F.neg(x)
-        for i, c in enumerate(master):
-            nxt[i + 1] = add(nxt[i + 1], c)
-            nxt[i] = add(nxt[i], mul(c, mx))
-        master = nxt
+    master = Polynomial.from_roots(F, xs).coeffs
     out = [0] * max(len(pts), 1)
     for xi, yi in pts:
         if yi == 0:

@@ -361,10 +361,7 @@ def deg_k1_deep_hole_test(
     if subset is None:
         return DeepHoleResult(b1=b1, is_deep_hole=True)
     monic, _ = word.interp.monic()
-    prod = Polynomial(F, (1,))
-    for x in subset:
-        prod = prod * Polynomial(F, (F.neg(x), 1))
-    v = monic - prod
+    v = monic - Polynomial.from_roots(F, subset)
     assert v.degree <= code.k - 1
     return DeepHoleResult(b1=b1, is_deep_hole=False, subset=subset, codeword=v)
 

@@ -6,9 +6,10 @@ A permutation of S_k with c_i cycles of length i has cycle type
     N(c_1, ..., c_k) = k! / prod_i (i^c_i * c_i!)
 
 such permutations.  The generating sum C_k(t_1, ..., t_k) =
-sum N(type) * prod t_i^c_i drives an inclusion-exclusion identity for
-sums over distinct-coordinate tuples, and a closed form with a
-falling-factorial bound when the arguments are periodic in i.
+sum N(type) * prod t_i^c_i is the Li-Wan sieve: a character summed over
+distinct-coordinate k-tuples of D is C_k at the signed power sums
+t_l = (-1)^(l-1) sum_{x in D} psi(l*x).  With arguments periodic in i
+C_k has a closed form and a falling-factorial bound.
 
 The bound chain for counting (k+1)-element distinct subset sums in a
 Dickson value set D compares
@@ -34,6 +35,7 @@ from .charsum import AdditiveCharacter, _psi_table
 from .dickson import EvaluationSet
 
 __all__ = [
+    "DIRECT_MAX_D",
     "BoundReport",
     "RegionSpec",
     "C_k_eval",
@@ -47,6 +49,7 @@ __all__ = [
 ]
 
 _MAX_K = 24
+DIRECT_MAX_D = 12  # largest |D| that sieve_identity_F enumerates directly
 _NEAR_TIE_REL = 1e-12
 _MP_PREC = 100  # bits; comfortably past extended double
 
@@ -147,16 +150,17 @@ def sieve_identity_F(evalset, psi: AdditiveCharacter, k: int) -> tuple[complex, 
     psi(x_1 + ... + x_k):
 
       direct    - literal enumeration of ordered tuples;
-      via_types - sum over cycle types of (-1)^(k - #cycles) N(type)
-                  prod_l (sum_{x in D} psi(l*x))^(c_l),
+      via_types - C_k at the signed power sums t_l = (-1)^(l-1) S_l, where
+                  S_l = sum_{x in D} psi(l*x) and l*x is the prime-field
+                  scalar (l mod p) times x.
 
-    where l*x is the prime-field scalar (l mod p) times x.  Small
-    instances only: |D| <= 12 and k <= 5.
+    The signs give each cycle type its (-1)^(k - #cycles), since k - #cycles
+    = sum_l (l-1) c_l.  Small instances only: |D| <= DIRECT_MAX_D and k <= 5.
     """
     elems = evalset.elems if isinstance(evalset, EvaluationSet) else tuple(evalset)
     F = psi.field
-    if len(elems) > 12 or not 1 <= k <= 5:
-        raise ValueError("direct enumeration budget is |D| <= 12, k <= 5")
+    if len(elems) > DIRECT_MAX_D or not 1 <= k <= 5:
+        raise ValueError(f"direct enumeration budget is |D| <= {DIRECT_MAX_D}, k <= 5")
     tab = _psi_table(F, psi.b)
 
     direct = 0
@@ -166,20 +170,12 @@ def sieve_identity_F(evalset, psi: AdditiveCharacter, k: int) -> tuple[complex, 
             acc = F.add(acc, x)
         direct += tab[acc]
 
-    # power sums S_l = sum psi(l * x): scalar l acts through l mod p
-    spans = []
+    signed_sums = []
     for l in range(1, k + 1):
         scalar = F.from_int(l)
-        spans.append(sum(tab[F.mul(scalar, x)] for x in elems))
-    via = 0
-    for ctype in cycle_types(k):
-        ncyc = sum(ctype)
-        term = (-1) ** (k - ncyc) * perm_count(ctype)
-        for l, c in enumerate(ctype, start=1):
-            if c:
-                term *= spans[l - 1] ** c
-        via += term
-    return complex(direct), complex(via)
+        S_l = sum(tab[F.mul(scalar, x)] for x in elems)
+        signed_sums.append(S_l if l % 2 else -S_l)
+    return complex(direct), complex(C_k_eval(signed_sums))
 
 
 @dataclass(frozen=True)
@@ -271,9 +267,9 @@ class RegionSpec:
 
 # Reference endpoints for the q = 2^16, n = 3, c1 = 0.015 worked example,
 # reported alongside our own computation for comparison.  The reference
-# gate value 640 does not match (n+1)/2*sqrt(q) = 512 for n = 3, and the
-# reference k_max does not satisfy the scan inequality; neither is
-# asserted, both are surfaced with match flags.
+# gate value 640 does not match (n+1)/2*sqrt(q) = 512 for n = 3, and at
+# c1 = 0.015 the scan stops at 21167; both are surfaced with match flags.
+# c1 = (n+2)*sqrt(q)/(2|D|) = 640/43691 reproduces both endpoints.
 _PUBLISHED_EXAMPLE = {"q": 65536, "n": 3, "c1": 0.015}
 _PUBLISHED_ENDPOINTS = {"k_min": 16, "k_max": 21182, "gate_lhs": 640.0}
 

@@ -136,9 +136,9 @@ def test_criterion_5_weighted_identity(grid_fields):
     for F in grid_fields.values():
         for n in N_RANGE:
             for a in F.units():
-                spec = DicksonSpec(F, n, a)
+                D = value_set(DicksonSpec(F, n, a))
                 for b in F.elements():
-                    worst = max(worst, weighted_identity_check(AdditiveCharacter(F, b), spec))
+                    worst = max(worst, weighted_identity_check(AdditiveCharacter(F, b), D))
                     checks += 1
     _verdict(5, worst <= TOL_IDENTITY,
              f"weighted identity over {checks} (psi, n, a) cells: max deviation {worst:.3e}")

@@ -242,15 +242,15 @@ def test_composed_sums_match_term_by_term_oracle(grid_fields, q):
 def test_weighted_identity_trivial_character(grid_fields):
     # both sides count |D|
     F = grid_fields[9]
-    spec = DicksonSpec(F, 4, 2)
-    assert weighted_identity_check(AdditiveCharacter(F, 0), spec) <= TOL_IDENTITY
+    D = value_set(DicksonSpec(F, 4, 2))
+    assert weighted_identity_check(AdditiveCharacter(F, 0), D) <= TOL_IDENTITY
 
 
 def test_weighted_identity_f7_all_characters(grid_fields):
     F = grid_fields[7]
-    spec = DicksonSpec(F, 2, 1)
+    D = value_set(DicksonSpec(F, 2, 1))
     for b in F.elements():
-        assert weighted_identity_check(AdditiveCharacter(F, b), spec) <= TOL_IDENTITY
+        assert weighted_identity_check(AdditiveCharacter(F, b), D) <= TOL_IDENTITY
 
 
 def test_weighted_identity_small_grid(grid_fields):
@@ -258,9 +258,9 @@ def test_weighted_identity_small_grid(grid_fields):
         F = grid_fields[q]
         for n in range(2, 11):
             for a in F.units():
-                spec = DicksonSpec(F, n, a)
+                D = value_set(DicksonSpec(F, n, a))
                 for b in F.elements():
-                    assert weighted_identity_check(AdditiveCharacter(F, b), spec) <= TOL_IDENTITY
+                    assert weighted_identity_check(AdditiveCharacter(F, b), D) <= TOL_IDENTITY
 
 
 # --- character-table cache --------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI behaviour: every documented example runs, reports are deterministic
 and schema-valid, configs round-trip."""
 
+import dataclasses
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import jsonschema
 import pytest
 
 import dicksonrs
+from dicksonrs import cli
 from dicksonrs.cli import ExperimentConfig, emit, main, run_suite
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -199,6 +201,23 @@ def test_suite_exit_status_reflects_failures(tmp_path, capsys):
     assert rc == 0
 
 
+def test_suite_failure_is_reported(monkeypatch, capsys):
+    # a formula one too large fails the valueset check in every serializer
+    real = cli.value_set_size_formula
+    monkeypatch.setattr(cli, "value_set_size_formula",
+                        lambda spec: dataclasses.replace(real(spec), size=real(spec).size + 1))
+    argv = ["suite", "--field", "7", "--suites", "valueset", "--n", "2", "--a", "1"]
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["overall_pass"] is False
+    assert doc["suites"][0]["failures"] == [
+        {"params": {"q": 7, "n": 2, "a": 1}, "detail": "formula=5 enum=4 delta=1/2"}
+    ]
+    assert main(argv + ["--format", "csv"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1:] == ["valueset,7,2,1,,,,,fail,formula=5 enum=4 delta=1/2"]
+
+
 def test_region_suite_2_16_reports_k_min(tmp_path):
     cfg = ExperimentConfig(
         field="2^16", suites=("region",), n=(3,), a=(1,), k=(16,), c1=0.015
@@ -266,6 +285,15 @@ def test_flags_a_subcommand_never_reads_are_usage_errors(argv, capsys):
 def test_contradictory_sources_rejected(argv, capsys):
     assert _exit_status(argv) == 2
     assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [
+    ["--format", "xml"], ["--n", "1"], ["--a", "0"], ["--k", "0"], ["--budget-dp", "0"],
+], ids=["format", "n", "a", "k", "budget"])
+def test_suite_rejects_invalid_setting(setting, capsys):
+    assert _exit_status(["suite", "--field", "7", "--suites", "valueset", *setting]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
 
 
 def test_missing_word_source_or_field_exits_2(capsys):

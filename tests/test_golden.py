@@ -50,6 +50,8 @@ CASES = {
         "suite --field 2^2 --suites deephole --n 2..3 --a all --k 1 --format csv",
     # every runner, the "no degree-(k+1) words" skip and the region-gate skip
     "suite_2-3_all.csv": "suite --field 2^3 --suites all --n 2..3 --a all --k 1..4 --format csv",
+    # the sieve's complex-valued sums in odd characteristic, and its |D| skip
+    "suite_13_sieve.csv": "suite --field 13 --suites sieve --n 2..12 --a 1,2 --format csv",
     # a config file alone, then with flag overrides (and a DP-budget skip)
     "suite_config.csv": "suite --config {golden}/suite.cfg",
     "suite_config_overrides.json":

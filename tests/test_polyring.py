@@ -25,6 +25,17 @@ def test_mul_example(f7):
     assert (a * b).coeffs == (2, 4, 1)
 
 
+def test_from_roots_is_the_product_of_linear_factors():
+    for F in [FiniteField(7), FiniteField(2, 3), FiniteField(3, 2)]:
+        for roots in [(), (0,), (1, 2), tuple(F.elements())[2:7]]:
+            prod = Polynomial(F, [1])
+            for r in roots:
+                prod = prod * Polynomial(F, [F.neg(r), 1])
+            got = Polynomial.from_roots(F, roots)
+            assert got == prod
+            assert all(got.evaluate(r) == 0 for r in roots)
+
+
 def test_add_identity(f7):
     f = Polynomial(f7, [3, 1, 4])
     assert f + Polynomial.zero(f7) == f

@@ -305,6 +305,12 @@ def test_region_worked_example_endpoints():
     assert claim["discrepancy"] == (not claim["k_max_matches"] or not claim["gate_lhs_matches"])
 
 
+def test_region_tight_c1_reproduces_published_endpoints():
+    # c1 = (n+2) sqrt(q) / (2|D|) = 640/43691 gives k_max = 21182 and c1*|D| = 640
+    region = region_solve(65536, 3, 43691, 640 / 43691)
+    assert (region.k_min, region.k_max, region.gate_rhs) == (16, 21182, 640.0)
+
+
 def test_region_window_members_feasible():
     region = region_solve(65536, 3, 43691, 0.015)
     for k in list(range(16, 80)) + [region.k_max]:
