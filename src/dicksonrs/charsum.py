@@ -11,7 +11,8 @@ by the bound checks (TOL_SLACK = 1e-6 for inequalities, TOL_IDENTITY =
 
 Summation always runs in element-encoding order, so results are
 deterministic and independent of any partitioning a caller might do.
-Each sum over F_q reads one composed row, psi_b(D_n(x,a)) for every x.
+Each sum over F_q reads one composed row, psi_b(D_n(x,a)) for every x,
+which is kept until a sum asks for another (character, cell).
 
 The four verified estimates, all of Weil type with explicit constants:
 
@@ -119,10 +120,13 @@ def char_eval(psi: AdditiveCharacter, x: int) -> complex:
     return complex(_psi_table(psi.field, psi.b)[x])
 
 
-def _composed(b: int, spec: DicksonSpec) -> list:
+# a suite runs its characters outermost, so the sums of one (character,
+# cell) ask for the same row one after another
+@lru_cache(maxsize=1)
+def _composed(b: int, spec: DicksonSpec) -> tuple:
     """psi_b(D_n(x,a)) for every x, in encoding order."""
     tab = _psi_table(spec.field, b)
-    return [tab[v] for v in values_vector(spec)]
+    return tuple(tab[v] for v in values_vector(spec))
 
 
 def _report(total, terms: int, bound: float, bound_applies: bool = True) -> CharSumReport:

@@ -12,15 +12,19 @@ multiplicative identities.  Keeping elements unboxed makes exhaustive scans
 over small fields cheap, which is what most of this package does.
 
 For extension fields with q <= 2^16 the field lazily builds exp/log tables
-over a fixed primitive element, so mul/inv/pow are O(1) lookups.  Larger
+over a fixed primitive element g, so mul/inv/pow are O(1) lookups.  The
+build treats multiplication by g as an F_p-linear map: two half-tables give
+g times the low and the high digits, and the q-2 steps add them on a
+bit-sliced digit vector, with no polynomial product per element.  Larger
 fields (supported up to q <= 2^32) fall back to direct polynomial
 arithmetic modulo the defining polynomial.
 
 `FiniteField.kernels()` holds the only add and mul: unchecked closures
 (odd-characteristic extensions under the table cap add through Zech
-logarithms).  The public ops are checked kernels: they range-check their
-operands and call a kernel, or `pow` for inv.  The trace is a linear form,
-Tr(x) = sum c_i Tr(t^i) over x's digits, tabulated under the cap, and
+logarithms, tabulated in one O(q) pass since 1 + x differs from x only in
+the constant digit).  The public ops are checked kernels: they range-check
+their operands and call a kernel, or `pow` for inv.  The trace is a linear
+form, Tr(x) = sum c_i Tr(t^i) over x's digits, tabulated under the cap, and
 `quad_char` is Euler's criterion x^((q-1)/2) through `pow`.
 """
 
@@ -29,6 +33,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 __all__ = [
     "FiniteField",
@@ -357,12 +362,10 @@ class FiniteField:
 
         if p == 2:
             return operator.xor, mul
-        # Zech logarithms: 1 + g^d = g^zech[d], and -1 where 1 + g^d = 0
-        zech = [-1] * (q - 1)
-        for d in range(q - 1):
-            s = self._add_digits(1, exp[d])
-            if s:
-                zech[d] = log[s]
+        # Zech logarithms: 1 + g^d = g^zech[d], and -1 where 1 + g^d = 0.
+        # Adding 1 changes only the constant digit, which wraps at p-1.
+        zech = [log[e + 1 if e % p != p - 1 else e - (p - 1)] for e in islice(exp, q - 1)]
+        zech[(q - 1) // 2] = -1  # g^((q-1)/2) = -1
 
         def add(x, y):
             # x + y = g^lx * (1 + g^(ly-lx)); a negative index wraps mod q-1
@@ -400,17 +403,56 @@ class FiniteField:
         return self.encode(w)
 
     def _build_tables(self):
-        q = self.q
+        """exp/log tables over g, the smallest encoding of order q-1.
+
+        Multiplication by g is F_p-linear, so g*x is g times x's low h =
+        floor(m/2) digits plus g times its high digits, each read from a
+        half-table of p^h or p^(m-h) products built with `_mul_direct`.
+        In characteristic 2 the halves add by xor.  For odd p they add in
+        a bit-sliced layout, digit i in its own W-bit slot, where each sum
+        of two digits (at most 2p-2) fits in w = W-1 bits; one guard-bit
+        correction then subtracts p from every slot that reached p, and
+        two more half-table lookups encode the slots back to base p.
+        """
+        p, m, q, ppow = self.p, self.m, self.q, self._ppow
         # a primitive element, the smallest enc of order q-1 (the unit group is cyclic)
         cofactors = [(q - 1) // ell for ell in _prime_factors(q - 1)]
         g = next(c for c in range(2, q) if all(self._pow_direct(c, e) != 1 for e in cofactors))
+        h = m // 2
+        P = ppow[h]
+        lo = [self._mul_direct(g, x) for x in range(P)]  # g * (low digits)
+        hi = [self._mul_direct(g, x * P) for x in range(ppow[m - h])]  # g * (high digits)
         exp = [0] * (q - 1)
-        log = [0] * q
         acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_direct(acc, g)
+        if p == 2:
+            mask = P - 1
+            for i in range(q - 1):
+                exp[i] = acc
+                acc = lo[acc & mask] ^ hi[acc >> h]
+        else:
+            w = (2 * p - 2).bit_length()
+            slot = [(w + 1) * i for i in range(m)]
+
+            def sliced(x):
+                return sum(c << s for c, s in zip(self.decode(x), slot))
+
+            lo, hi = [sliced(y) for y in lo], [sliced(y) for y in hi]
+            # bit w of slot i is set in s + K iff digit i of s is >= p
+            K = sum(((1 << w) - p) << s for s in slot)
+            G = sum(1 << s for s in slot)
+            shift = (w + 1) * h
+            mask = (1 << shift) - 1
+            enc_lo = {sliced(x): x for x in range(P)}
+            enc_hi = {sliced(x * P) >> shift: x * P for x in range(ppow[m - h])}
+            for i in range(q - 1):
+                exp[i] = acc
+                x_hi, x_lo = divmod(acc, P)
+                s = lo[x_lo] + hi[x_hi]
+                s -= ((s + K) >> w & G) * p
+                acc = enc_lo[s & mask] + enc_hi[s >> shift]
+        log = [0] * q
+        for i, e in enumerate(exp):
+            log[e] = i
         self._exp = exp * 2
         self._log = log
 

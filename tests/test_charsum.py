@@ -279,3 +279,17 @@ def test_charsum_suite_builds_each_table_once_in_a_bounded_cache():
     info = charsum._psi_table.cache_info()
     assert info.currsize <= charsum._PSI_CACHE_SIZE
     assert info.misses == 64
+
+
+def test_charsum_suite_composes_each_row_once():
+    # 31 characters on 2 cells, plus the trivial character's row per cell;
+    # the weil1, weil3 and weighted sums of one (character, cell) share a row
+    from dicksonrs import charsum
+    from dicksonrs.cli import ExperimentConfig, run_suite
+
+    charsum._composed.cache_clear()
+    cfg = ExperimentConfig.from_text("field=2^5\nsuites=charsum\nn=2..3\na=1")
+    report = run_suite(cfg)
+    assert [inst.status for inst in report.suites[0].instances] == ["pass", "pass"]
+    info = charsum._composed.cache_info()
+    assert (info.misses, info.hits) == (31 * 2 + 2, 31 * 2 * 2)

@@ -354,6 +354,40 @@ def test_kernels_match_checked_ops(pm, data):
     assert mul(x, y) == naive_mul(F, x, y) == F.mul(x, y)
 
 
+def _power_tables(F):
+    """exp and log from the smallest primitive encoding g, one naive product
+    per step: g is the first c >= 2 whose powers reach 1 only after q-1 steps."""
+    for g in range(2, F.q):
+        exp, acc = [], 1
+        while not exp or acc != 1:
+            exp.append(acc)
+            acc = naive_mul(F, acc, g)
+        if len(exp) == F.q - 1:
+            log = [0] * F.q
+            for i, e in enumerate(exp):
+                log[e] = i
+            return exp, log
+
+
+# odd m splits the digits unevenly; 13 and 127 need wide slots
+@pytest.mark.parametrize(
+    "spec", ["2^5", "2^8", "3^2", "3^3", "5^2", "7^2", "3^5", "5^3", "13^2", "127^2", "3^2/2,2,1"]
+)
+def test_tables_match_power_iteration(spec):
+    F = parse_field_spec(spec)
+    exp, log = _power_tables(F)
+    add, mul = F.kernels()
+    assert F._exp == exp * 2
+    assert F._log == log
+    # every Zech logarithm is read by one add(1, y)
+    assert [add(1, y) for y in exp] == [naive_add(F, 1, y) for y in exp]
+    rng = random.Random(F.q)
+    for _ in range(200):
+        x, y = rng.randrange(F.q), rng.randrange(F.q)
+        assert add(x, y) == naive_add(F, x, y)
+        assert mul(x, y) == naive_mul(F, x, y)
+
+
 @pytest.mark.parametrize("q", [27, 25, 49])
 def test_zech_add_exhaustive(q, grid_fields):
     F = grid_fields[q]
