@@ -11,8 +11,18 @@ by the bound checks (TOL_SLACK = 1e-6 for inequalities, TOL_IDENTITY =
 
 Summation always runs in element-encoding order, so results are
 deterministic and independent of any partitioning a caller might do.
-Each sum over F_q reads one composed row, psi_b(D_n(x,a)) for every x,
-which is kept until a sum asks for another (character, cell).
+Each sum over F_q reads one composed row, psi_b(D_n(x,a)) for every x.
+All summation lives in `CellSums`, whose methods add their terms at C
+speed with `sum(map(...))` over a cell's fixed inputs.
+
+A caller that needs every nontrivial character walks them along the powers
+of a primitive element g (`characters_by_powers`): psi_{g*b}(y) =
+psi_b(g*y), so each table is one gather of the previous one, and the rows
+and sums are the same `CellSums` calls the public single-b functions make.
+Each sum therefore adds the same values in the same order whichever way
+its table was built, and its float is bit-identical; only the order of
+the characters changes, which min/max aggregates and b-sorted reports do
+not see.
 
 The four verified estimates, all of Weil type with explicit constants:
 
@@ -30,8 +40,10 @@ uses the preimage-count formula for N_x, an end-to-end check of that formula.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import compress, islice
 from math import sqrt
 
 from .dickson import DicksonSpec, EvaluationSet, preimage_count, values_vector
@@ -41,9 +53,12 @@ __all__ = [
     "TOL_IDENTITY",
     "TOL_SLACK",
     "AdditiveCharacter",
+    "CellSums",
     "CharSumReport",
     "char_eval",
+    "characters_by_powers",
     "nontrivial_characters",
+    "require_sum",
     "sum_over_value_set",
     "weighted_identity_check",
     "weighted_sum",
@@ -88,8 +103,8 @@ def nontrivial_characters(field: FiniteField):
     return (AdditiveCharacter(field, b) for b in field.units())
 
 
-# psi_1, which every other table is read from, and the table in use; a
-# suite runs its characters outermost, so each table is still built once
+# psi_1, which every other table is read from, and one more: the public
+# single-b functions build psi_b from it, while the walk gathers its own
 _PSI_CACHE_SIZE = 2
 
 
@@ -114,19 +129,33 @@ def _psi_table(field: FiniteField, b: int):
     return tuple(tab1[mul(b, x)] for x in field.elements())
 
 
+def _gather(tab, index) -> list:
+    """tab[i] for every i in index, in order, in one C-level pass."""
+    return list(map(tab.__getitem__, index))
+
+
+def characters_by_powers(field: FiniteField):
+    """(b, psi_b table) for every nontrivial b, in the order b = g^0, g^1,
+    ..., g^(q-2) of the primitive element g.
+
+    psi_{g*b}(y) = psi_b(g*y), so each table after psi_1's is one gather of
+    the one before through y -> g*y, tabulated once with the kernel mul;
+    it holds the same values as `_psi_table(field, b)`.
+    """
+    _, mul = field.kernels()
+    g = field.primitive_element()
+    times_g = [mul(g, y) for y in field.elements()]
+    b, tab = 1, _psi_table(field, 1)
+    yield b, tab
+    for _ in range(field.q - 2):
+        b, tab = mul(g, b), _gather(tab, times_g)
+        yield b, tab
+
+
 def char_eval(psi: AdditiveCharacter, x: int) -> complex:
     """psi_b(x) as a unit-modulus complex number (exact +-1 when p = 2)."""
     psi.field._check(x)
     return complex(_psi_table(psi.field, psi.b)[x])
-
-
-# a suite runs its characters outermost, so the sums of one (character,
-# cell) ask for the same row one after another
-@lru_cache(maxsize=1)
-def _composed(b: int, spec: DicksonSpec) -> tuple:
-    """psi_b(D_n(x,a)) for every x, in encoding order."""
-    tab = _psi_table(spec.field, b)
-    return tuple(tab[v] for v in values_vector(spec))
 
 
 def _report(total, terms: int, bound: float, bound_applies: bool = True) -> CharSumReport:
@@ -142,32 +171,25 @@ def _report(total, terms: int, bound: float, bound_applies: bool = True) -> Char
     )
 
 
-def sum_over_value_set(psi: AdditiveCharacter, evalset: EvaluationSet) -> CharSumReport:
-    """sum_{y in D} psi(y) against the (n+1)*sqrt(q) estimate.
-
-    A trivial psi sums to |D| exactly; the Weil-type bound does not apply
-    there, so the report carries bound = |D| and bound_applies = False.
-    """
-    F = psi.field
-    spec = evalset.spec
-    if F != spec.field:
-        raise ValueError("character and evaluation set live in different fields")
-    tab = _psi_table(F, psi.b)
-    total = sum(tab[y] for y in evalset.elems)
-    if psi.is_trivial:
-        return _report(total, evalset.size, float(evalset.size), bound_applies=False)
-    spec._require_formula_domain()
-    return _report(total, evalset.size, (spec.n + 1) * sqrt(F.q))
-
-
-def weil_sum_1(psi: AdditiveCharacter, spec: DicksonSpec) -> CharSumReport:
-    """sum over all of F_q of psi(D_n(x,a)), bound (n-1)*sqrt(q)."""
-    if psi.is_trivial:
+def require_sum(which: str, spec: DicksonSpec, b: int = 1):
+    """Raise ValueError unless the `which` sum (lemma, weil1, weil2, weil3
+    or identity) of psi_b is defined on spec."""
+    q, a = spec.field.q, spec.a
+    if which in ("lemma", "identity"):
+        if b:
+            spec._require_formula_domain()
+    elif which == "weil3":
+        if q % 2 == 1:
+            raise ValueError("this sum is defined for even q")
+        if a == 0 or b == 0:
+            raise ValueError("requires a != 0 and b != 0")
+        spec.field._check(b)
+    elif which == "weil2" and q % 2 == 0:
+        raise ValueError("quadratic-character sum requires odd q")
+    elif b == 0:
         raise ValueError("bound requires a nontrivial character")
-    if spec.a == 0:
+    elif a == 0:
         raise ValueError("bound requires a != 0")
-    F = spec.field
-    return _report(sum(_composed(psi.b, spec)), F.q, (spec.n - 1) * sqrt(F.q))
 
 
 @lru_cache(maxsize=None)
@@ -176,20 +198,6 @@ def _eta_vector(field: FiniteField, a: int) -> tuple[int, ...]:
     add, mul = field.kernels()
     minus_4a = field.neg(field.mul(field.from_int(4), a))
     return tuple(field.quad_char(add(mul(x, x), minus_4a)) for x in field.elements())
-
-
-def weil_sum_2(psi: AdditiveCharacter, spec: DicksonSpec) -> CharSumReport:
-    """sum of eta(x^2-4a) * psi(D_n(x,a)) over F_q, odd q only."""
-    F = spec.field
-    if F.q % 2 == 0:
-        raise ValueError("quadratic-character sum requires odd q")
-    if psi.is_trivial:
-        raise ValueError("bound requires a nontrivial character")
-    if spec.a == 0:
-        raise ValueError("bound requires a != 0")
-    eta = _eta_vector(F, spec.a)
-    total = sum(e * t for e, t in zip(eta, _composed(psi.b, spec)) if e)
-    return _report(total, F.q, (spec.n + 1) * sqrt(F.q))
 
 
 @lru_cache(maxsize=None)
@@ -211,6 +219,117 @@ def _weil3_shift_tables(field: FiniteField, a: int):
     return t_sq, t_lin
 
 
+@lru_cache(maxsize=None)
+def _preimage_weights(spec: DicksonSpec) -> tuple[float, ...]:
+    """1/N_x for every x, with N_x from the preimage-count formula."""
+    return tuple(1.0 / preimage_count(spec, x).count for x in spec.field.elements())
+
+
+class CellSums:
+    """Every sum of one (n, a) cell, read from any character table.
+
+    The cell's fixed inputs are fetched once, on first use: D's sorted
+    elements, D_n(x,a) for x in encoding order, 1/N_x, and eta(x^2-4a)
+    (odd q) or the two weil3 shift rows (even q).  These methods are the
+    only summation code: the public single-b functions call them on
+    `_psi_table(field, b)` and the suites on the tables of
+    `characters_by_powers`.  Preconditions are left to `require_sum`.
+    """
+
+    def __init__(self, spec: DicksonSpec, D: EvaluationSet | None = None):
+        self.spec = spec
+        self.D = D
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        return values_vector(self.spec)
+
+    @cached_property
+    def eta(self) -> tuple[int, ...]:
+        return _eta_vector(self.spec.field, self.spec.a)
+
+    @cached_property
+    def shifts(self):
+        return _weil3_shift_tables(self.spec.field, self.spec.a)
+
+    @cached_property
+    def weights(self) -> tuple[float, ...]:
+        return _preimage_weights(self.spec)
+
+    def row(self, tab) -> list:
+        """psi_b(D_n(x,a)) for every x, in encoding order."""
+        return _gather(tab, self.values)
+
+    def lemma(self, tab) -> CharSumReport:
+        """sum_{y in D} psi(y) against the (n+1)*sqrt(q) estimate."""
+        total = sum(map(tab.__getitem__, self.D.elems))
+        return _report(total, self.D.size, (self.spec.n + 1) * sqrt(self.spec.field.q))
+
+    def weil1(self, row) -> CharSumReport:
+        q = self.spec.field.q
+        return _report(sum(row), q, (self.spec.n - 1) * sqrt(q))
+
+    def weil2(self, row) -> CharSumReport:
+        # terms with eta = 0 are skipped, the others are eta * psi
+        eta, q = self.eta, self.spec.field.q
+        total = sum(map(operator.mul, compress(eta, eta), compress(row, eta)))
+        return _report(total, q, (self.spec.n + 1) * sqrt(q))
+
+    def weil3(self, row) -> tuple[CharSumReport, CharSumReport]:
+        t_sq, t_lin = self.shifts
+        total1 = sum(map(operator.mul, islice(row, 1, None), t_sq))  # x in F_q^*
+        total2 = sum(map(operator.mul, islice(row, 1, None), t_lin))
+        q = self.spec.field.q
+        bound = (self.spec.n + 1) * sqrt(q)
+        return _report(total1, q - 1, bound), _report(total2, q - 1, bound)
+
+    def weighted(self, row) -> complex:
+        return complex(sum(map(operator.mul, row, self.weights)))
+
+    def weighted_trivial(self) -> complex:
+        """`weighted` for the trivial character, whose table is psi_1(0)
+        at every element, without building that table."""
+        one = _roots_of_unity(self.spec.field.p)[0]
+        return self.weighted(self.row([one] * self.spec.field.q))
+
+
+def sum_over_value_set(psi: AdditiveCharacter, evalset: EvaluationSet) -> CharSumReport:
+    """sum_{y in D} psi(y) against the (n+1)*sqrt(q) estimate.
+
+    A trivial psi sums to |D| exactly; the Weil-type bound does not apply
+    there, so the report carries bound = |D| and bound_applies = False.
+    """
+    F = psi.field
+    spec = evalset.spec
+    if F != spec.field:
+        raise ValueError("character and evaluation set live in different fields")
+    require_sum("lemma", spec, psi.b)
+    rep = CellSums(spec, evalset).lemma(_psi_table(F, psi.b))
+    if psi.is_trivial:
+        return _report(rep.sum, rep.terms, float(rep.terms), bound_applies=False)
+    return rep
+
+
+def _cell_row(spec: DicksonSpec, b: int) -> tuple[CellSums, list]:
+    """spec's cell and its row for psi_b, from the cached psi_b table."""
+    cell = CellSums(spec)
+    return cell, cell.row(_psi_table(spec.field, b))
+
+
+def weil_sum_1(psi: AdditiveCharacter, spec: DicksonSpec) -> CharSumReport:
+    """sum over all of F_q of psi(D_n(x,a)), bound (n-1)*sqrt(q)."""
+    require_sum("weil1", spec, psi.b)
+    cell, row = _cell_row(spec, psi.b)
+    return cell.weil1(row)
+
+
+def weil_sum_2(psi: AdditiveCharacter, spec: DicksonSpec) -> CharSumReport:
+    """sum of eta(x^2-4a) * psi(D_n(x,a)) over F_q, odd q only."""
+    require_sum("weil2", spec, psi.b)
+    cell, row = _cell_row(spec, psi.b)
+    return cell.weil2(row)
+
+
 def weil_sum_3(b: int, spec: DicksonSpec) -> tuple[CharSumReport, CharSumReport]:
     """The paired even-q sums over F_q^*:
 
@@ -220,30 +339,15 @@ def weil_sum_3(b: int, spec: DicksonSpec) -> tuple[CharSumReport, CharSumReport]
     (a^(q/2)/x)^2 = a/x^2, so the two shift factors carry the same trace.
     Both sums obey (n+1)*sqrt(q).
     """
-    F = spec.field
-    if F.q % 2 == 1:
-        raise ValueError("this sum is defined for even q")
-    if spec.a == 0 or b == 0:
-        raise ValueError("requires a != 0 and b != 0")
-    F._check(b)
-    t_sq, t_lin = _weil3_shift_tables(F, spec.a)
-    row = _composed(b, spec)[1:]  # x in F_q^*, as the shift tables
-    total1 = sum(t * s for t, s in zip(row, t_sq))
-    total2 = sum(t * s for t, s in zip(row, t_lin))
-    bound = (spec.n + 1) * sqrt(F.q)
-    return _report(total1, F.q - 1, bound), _report(total2, F.q - 1, bound)
-
-
-@lru_cache(maxsize=None)
-def _preimage_weights(spec: DicksonSpec) -> tuple[float, ...]:
-    """1/N_x for every x, with N_x from the preimage-count formula."""
-    return tuple(1.0 / preimage_count(spec, x).count for x in spec.field.elements())
+    require_sum("weil3", spec, b)
+    cell, row = _cell_row(spec, b)
+    return cell.weil3(row)
 
 
 def weighted_sum(psi: AdditiveCharacter, spec: DicksonSpec) -> complex:
     """sum_x psi(D_n(x,a)) / N_x, the weighted identity's right side."""
-    w = _preimage_weights(spec)
-    return complex(sum(t * wx for t, wx in zip(_composed(psi.b, spec), w)))
+    cell, row = _cell_row(spec, psi.b)
+    return cell.weighted(row)
 
 
 def weighted_identity_check(psi: AdditiveCharacter, D: EvaluationSet) -> float:

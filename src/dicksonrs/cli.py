@@ -28,9 +28,11 @@ from .charsum import (
     TOL_IDENTITY,
     TOL_SLACK,
     AdditiveCharacter,
+    CellSums,
+    characters_by_powers,
+    require_sum,
     sum_over_value_set,
     weighted_identity_check,
-    weighted_sum,
     weil_sum_1,
     weil_sum_2,
     weil_sum_3,
@@ -303,37 +305,36 @@ def _run_preimage(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
     return out
 
 
-def _charsum_worst(psi: AdditiveCharacter, spec: DicksonSpec, D) -> tuple[float, float, float]:
+def _charsum_worst(cell: CellSums, tab) -> tuple[float, float, float]:
     """(least slack, identity deviation, weil3 pair gap) of one character on one cell."""
-    lemma = sum_over_value_set(psi, D)
-    slack = min(lemma.slack, weil_sum_1(psi, spec).slack)
+    lemma = cell.lemma(tab)
+    row = cell.row(tab)
+    slack = min(lemma.slack, cell.weil1(row).slack)
     gap = 0.0
-    if spec.field.q % 2 == 1:
-        slack = min(slack, weil_sum_2(psi, spec).slack)
+    if cell.spec.field.q % 2 == 1:
+        slack = min(slack, cell.weil2(row).slack)
     else:
-        r1, r2 = weil_sum_3(psi.b, spec)
+        r1, r2 = cell.weil3(row)
         slack = min(slack, r1.slack, r2.slack)
         gap = abs(r1.sum - r2.sum)
-    return slack, abs(lemma.sum - weighted_sum(psi, spec)), gap
+    return slack, abs(lemma.sum - cell.weighted(row)), gap
 
 
 def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out, cells = [], []
     for params, spec, D in _cells(cfg, F, out):
-        cells.append((len(out), params, spec, D))
+        cells.append((len(out), params, CellSums(spec, D)))
         out.append(None)  # filled in once every character has run on every cell
-    # characters outermost, so each character table is built once for the grid
+    # one walk over the characters serves every cell
     worst = [(float("inf"), 0.0, 0.0)] * len(cells)
-    for b in F.units():
-        psi = AdditiveCharacter(F, b)
-        for i, (_, _, spec, D) in enumerate(cells):
-            slack, dev, gap = _charsum_worst(psi, spec, D)
+    for _, tab in characters_by_powers(F) if cells else ():
+        for i, (_, _, cell) in enumerate(cells):
+            slack, dev, gap = _charsum_worst(cell, tab)
             w_slack, w_dev, w_gap = worst[i]
             worst[i] = (min(w_slack, slack), max(w_dev, dev), max(w_gap, gap))
-    trivial = AdditiveCharacter(F, 0)
-    for (slot, params, spec, D), (slack, dev, gap) in zip(cells, worst):
+    for (slot, params, cell), (slack, dev, gap) in zip(cells, worst):
         # the trivial character's lemma sum is exactly |D|
-        dev = max(dev, abs(D.size - weighted_sum(trivial, spec)))
+        dev = max(dev, abs(cell.D.size - cell.weighted_trivial()))
         ok = slack >= -TOL_SLACK and dev <= TOL_IDENTITY and gap <= TOL_IDENTITY
         detail = f"worst_slack={slack:.3e} identity_dev={dev:.3e}"
         out[slot] = _checked(params, ok, detail)
@@ -578,42 +579,61 @@ def _cmd_preimage(args) -> int:
     return 0
 
 
+# one --which kind for one twist, through the public functions ...
+_CHARSUM_ONE = {
+    "lemma": lambda psi, spec, D: sum_over_value_set(psi, D),
+    "weil1": lambda psi, spec, D: weil_sum_1(psi, spec),
+    "weil2": lambda psi, spec, D: weil_sum_2(psi, spec),
+    "weil3": lambda psi, spec, D: weil_sum_3(psi.b, spec),
+    "identity": lambda psi, spec, D: weighted_identity_check(psi, D),
+}
+# ... or for a walked table, through the same summation code
+_CHARSUM_WALK = {
+    "lemma": lambda cell, tab: cell.lemma(tab),
+    "weil1": lambda cell, tab: cell.weil1(cell.row(tab)),
+    "weil2": lambda cell, tab: cell.weil2(cell.row(tab)),
+    "weil3": lambda cell, tab: cell.weil3(cell.row(tab)),
+    "identity": lambda cell, tab: abs(cell.lemma(tab).sum - cell.weighted(cell.row(tab))),
+}
+
+
+def _charsum_entry(which: str, b: int, result) -> dict:
+    entry = {"b": b, "which": which}
+    if which == "weil3":
+        r1, r2 = result
+        entry["sum_1"] = _charsum_report_dict(r1)
+        entry["sum_2"] = _charsum_report_dict(r2)
+        entry["pair_deviation"] = abs(r1.sum - r2.sum)
+        entry["pass"] = (
+            r1.slack >= -TOL_SLACK
+            and r2.slack >= -TOL_SLACK
+            and entry["pair_deviation"] <= TOL_IDENTITY
+        )
+    elif which == "identity":
+        entry["deviation"] = result
+        entry["tolerance"] = TOL_IDENTITY
+        entry["pass"] = result <= TOL_IDENTITY
+    else:
+        entry.update(_charsum_report_dict(result))
+    return entry
+
+
 def _cmd_charsum(args) -> int:
     F = parse_field_spec(args.field)
     spec = DicksonSpec(F, args.n, args.a)
-    bs = list(F.units()) if args.all_characters else [1 if args.b is None else args.b]
     D = value_set(spec) if args.which in ("lemma", "identity") else None
-    reports = []
-    all_pass = True
-    for b in bs:
-        psi = AdditiveCharacter(F, b)
-        entry = {"b": b, "which": args.which}
-        if args.which == "lemma":
-            entry.update(_charsum_report_dict(sum_over_value_set(psi, D)))
-        elif args.which == "weil1":
-            entry.update(_charsum_report_dict(weil_sum_1(psi, spec)))
-        elif args.which == "weil2":
-            entry.update(_charsum_report_dict(weil_sum_2(psi, spec)))
-        elif args.which == "weil3":
-            r1, r2 = weil_sum_3(b, spec)
-            entry["sum_1"] = _charsum_report_dict(r1)
-            entry["sum_2"] = _charsum_report_dict(r2)
-            entry["pair_deviation"] = abs(r1.sum - r2.sum)
-            entry["pass"] = (
-                r1.slack >= -TOL_SLACK
-                and r2.slack >= -TOL_SLACK
-                and entry["pair_deviation"] <= TOL_IDENTITY
-            )
-        elif args.which == "identity":
-            dev = weighted_identity_check(psi, D)
-            entry["deviation"] = dev
-            entry["tolerance"] = TOL_IDENTITY
-            entry["pass"] = dev <= TOL_IDENTITY
-        all_pass = all_pass and entry.get("pass", True)
-        reports.append(entry)
+    if args.all_characters:
+        require_sum(args.which, spec)
+        cell, walk_sum = CellSums(spec, D), _CHARSUM_WALK[args.which]
+        results = {b: walk_sum(cell, tab) for b, tab in characters_by_powers(F)}
+        results = sorted(results.items())
+    else:
+        b = 1 if args.b is None else args.b
+        results = [(b, _CHARSUM_ONE[args.which](AdditiveCharacter(F, b), spec, D))]
+    reports = [_charsum_entry(args.which, b, result) for b, result in results]
     doc = {"q": F.q, "n": args.n, "a": args.a, "reports": reports}
     _write_output(_dump_json(doc), args.out)
-    return 0 if all_pass else 1
+    return 0 if all(entry["pass"] for entry in reports) else 1
 
 
 def _cmd_deephole(args) -> int:

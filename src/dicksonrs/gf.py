@@ -12,10 +12,11 @@ multiplicative identities.  Keeping elements unboxed makes exhaustive scans
 over small fields cheap, which is what most of this package does.
 
 For extension fields with q <= 2^16 the field lazily builds exp/log tables
-over a fixed primitive element g, so mul/inv/pow are O(1) lookups.  The
-build treats multiplication by g as an F_p-linear map: two half-tables give
-g times the low and the high digits, and the q-2 steps add them on a
-bit-sliced digit vector, with no polynomial product per element.  Larger
+over the primitive element g = `primitive_element()`, so mul/inv/pow are
+O(1) lookups.  The build treats multiplication by g as an F_p-linear map:
+two half-tables give g times the low and the high digits, and the q-2
+steps add them on a bit-sliced digit vector, with no polynomial product
+per element.  Larger
 fields (supported up to q <= 2^32) fall back to direct polynomial
 arithmetic modulo the defining polynomial.
 
@@ -233,6 +234,7 @@ class FiniteField:
         self._trace_basis = None  # Tr(t^i), i < m, and the trace table, built lazily
         self._trace_tab = None
         self._kernels = None
+        self._primitive = None
 
     # -- identity / representation ------------------------------------
 
@@ -379,6 +381,21 @@ class FiniteField:
 
         return add, mul
 
+    def primitive_element(self) -> int:
+        """g, the smallest encoding of order q-1 (the unit group is cyclic).
+
+        Found on first use by testing g^((q-1)/ell) != 1 for every prime
+        ell | q-1, with direct products, so no table is built for it.
+        """
+        if self._primitive is None:
+            q = self.q
+            power = self._pow_direct if self.m > 1 else (lambda x, e: pow(x, e, q))
+            cofactors = [(q - 1) // ell for ell in _prime_factors(q - 1)]
+            self._primitive = next(
+                c for c in self.units() if all(power(c, e) != 1 for e in cofactors)
+            )
+        return self._primitive
+
     def _add_digits(self, x: int, y: int) -> int:
         p, out, ppow = self.p, 0, self._ppow
         for i in range(self.m):
@@ -403,7 +420,7 @@ class FiniteField:
         return self.encode(w)
 
     def _build_tables(self):
-        """exp/log tables over g, the smallest encoding of order q-1.
+        """exp/log tables over g = `primitive_element()`.
 
         Multiplication by g is F_p-linear, so g*x is g times x's low h =
         floor(m/2) digits plus g times its high digits, each read from a
@@ -415,9 +432,7 @@ class FiniteField:
         two more half-table lookups encode the slots back to base p.
         """
         p, m, q, ppow = self.p, self.m, self.q, self._ppow
-        # a primitive element, the smallest enc of order q-1 (the unit group is cyclic)
-        cofactors = [(q - 1) // ell for ell in _prime_factors(q - 1)]
-        g = next(c for c in range(2, q) if all(self._pow_direct(c, e) != 1 for e in cofactors))
+        g = self.primitive_element()
         h = m // 2
         P = ppow[h]
         lo = [self._mul_direct(g, x) for x in range(P)]  # g * (low digits)

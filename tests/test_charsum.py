@@ -13,9 +13,11 @@ import pytest
 from dicksonrs import (
     AdditiveCharacter,
     DicksonSpec,
+    FiniteField,
     char_eval,
     dickson_eval,
     nontrivial_characters,
+    parse_field_spec,
     preimage_count,
     sum_over_value_set,
     value_set,
@@ -25,7 +27,9 @@ from dicksonrs import (
     weil_sum_2,
     weil_sum_3,
 )
-from dicksonrs.charsum import TOL_IDENTITY, TOL_SLACK
+from dicksonrs import charsum
+from dicksonrs.charsum import TOL_IDENTITY, TOL_SLACK, CellSums, characters_by_powers
+from dicksonrs.dickson import values_vector
 
 
 # --- character axioms -------------------------------------------------------
@@ -263,33 +267,102 @@ def test_weighted_identity_small_grid(grid_fields):
                     assert weighted_identity_check(AdditiveCharacter(F, b), D) <= TOL_IDENTITY
 
 
-# --- character-table cache --------------------------------------------------
+# --- the walk along powers of a primitive element -------------------------
+
+_WALK_CELLS = [(2, 1), (3, 2), (4, 3), (5, 1)]
 
 
-def test_charsum_suite_builds_each_table_once_in_a_bounded_cache():
-    # the suite visits 2 * 63 (n, a) cells; with characters outermost each of
-    # the 64 psi tables is built once while at most the cache bound is held
-    from dicksonrs import charsum
+def _hex(z) -> tuple[str, str]:
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (13, 1), (2, 3), (2, 5), (3, 2), (3, 3), (5, 2)])
+def test_walk_sums_are_bit_identical_to_single_b_functions(p, m):
+    # every sum the walk feeds the suites equals the public single-b
+    # function's float for float, for every nontrivial b and the trivial one
+    F = FiniteField(p, m)
+    cells = []
+    for n, a in _WALK_CELLS:
+        spec = DicksonSpec(F, n, a)
+        cells.append(CellSums(spec, value_set(spec)))
+    seen = []
+    for b, tab in characters_by_powers(F):
+        seen.append(b)
+        psi = AdditiveCharacter(F, b)
+        assert list(tab) == list(charsum._psi_table(F, b))
+        for cell in cells:
+            spec, row = cell.spec, cell.row(tab)
+            pairs = [
+                (cell.lemma(tab), sum_over_value_set(psi, cell.D)),
+                (cell.weil1(row), weil_sum_1(psi, spec)),
+            ]
+            if F.q % 2 == 1:
+                pairs.append((cell.weil2(row), weil_sum_2(psi, spec)))
+            else:
+                pairs.extend(zip(cell.weil3(row), weil_sum_3(b, spec)))
+            for got, want in pairs:
+                assert _hex(got.sum) == _hex(want.sum), (p, m, b, spec)
+                assert got.slack.hex() == want.slack.hex()
+                assert (got.bound, got.terms) == (want.bound, want.terms)
+            assert _hex(cell.weighted(row)) == _hex(weighted_sum(psi, spec))
+    assert sorted(seen) == list(F.units())
+    trivial = AdditiveCharacter(F, 0)
+    for cell in cells:
+        assert _hex(cell.weighted_trivial()) == _hex(weighted_sum(trivial, cell.spec))
+
+
+def _run_charsum_suite(monkeypatch, text):
+    """Run a charsum-only suite with every gather recorded: the table each
+    cell's rows read, and the table each walk step built.  All are kept
+    alive, so their ids stay distinct."""
     from dicksonrs.cli import ExperimentConfig, run_suite
 
+    calls = []
+
+    def gather(tab, index):
+        out = list(map(tab.__getitem__, index))
+        calls.append((index, tab, out))
+        return out
+
+    monkeypatch.setattr(charsum, "_gather", gather)
     charsum._psi_table.cache_clear()
-    cfg = ExperimentConfig.from_text("field=2^6\nsuites=charsum\nn=2..3")
+    cfg = ExperimentConfig.from_text(text)
     report = run_suite(cfg)
     assert all(inst.status == "pass" for inst in report.suites[0].instances)
+    F = parse_field_spec(cfg.field)
+    rows = {id(values_vector(DicksonSpec(F, n, a))): [] for n in cfg.n for a in cfg.a_values(F)}
+    walk = []
+    for index, tab, out in calls:
+        if id(index) in rows:
+            rows[id(index)].append(tab)
+        else:
+            walk.append(out)
+    return F, rows, walk
+
+
+def test_charsum_suite_builds_each_table_once_in_a_bounded_cache(monkeypatch):
+    # 2 * 63 (n, a) cells share one walk: psi_1 is the only table built by
+    # _psi_table, each of the other 62 characters costs one gather, and
+    # each cell reads one row per character, the trivial one included
+    F, rows, walk = _run_charsum_suite(monkeypatch, "field=2^6\nsuites=charsum\nn=2..3")
     info = charsum._psi_table.cache_info()
+    assert info.misses == 1
     assert info.currsize <= charsum._PSI_CACHE_SIZE
-    assert info.misses == 64
+    assert len(walk) == F.q - 2
+    assert len(rows) == 2 * 63
+    assert all(len(tabs) == F.q for tabs in rows.values())
 
 
-def test_charsum_suite_composes_each_row_once():
+def test_charsum_suite_composes_each_row_once(monkeypatch):
     # 31 characters on 2 cells, plus the trivial character's row per cell;
-    # the weil1, weil3 and weighted sums of one (character, cell) share a row
-    from dicksonrs import charsum
-    from dicksonrs.cli import ExperimentConfig, run_suite
-
-    charsum._composed.cache_clear()
-    cfg = ExperimentConfig.from_text("field=2^5\nsuites=charsum\nn=2..3\na=1")
-    report = run_suite(cfg)
-    assert [inst.status for inst in report.suites[0].instances] == ["pass", "pass"]
-    info = charsum._composed.cache_info()
-    assert (info.misses, info.hits) == (31 * 2 + 2, 31 * 2 * 2)
+    # the weil1, weil3 and weighted sums of one (character, cell) share a
+    # row, so each cell reads every table exactly once
+    F, rows, walk = _run_charsum_suite(monkeypatch, "field=2^5\nsuites=charsum\nn=2..3\na=1")
+    assert len(rows) == 2
+    walked = {id(tab) for tab in walk} | {id(charsum._psi_table(F, 1))}
+    for tabs in rows.values():
+        assert len(tabs) == 31 + 1
+        ids = {id(tab) for tab in tabs}
+        assert len(ids) == 31 + 1
+        assert len(ids & walked) == 31

@@ -395,3 +395,33 @@ def test_zech_add_exhaustive(q, grid_fields):
     for x in F.elements():
         for y in F.elements():
             assert add(x, y) == naive_add(F, x, y)
+
+
+def _order(F, g):
+    """Multiplicative order of g: the least divisor d of q-1 with g^d = 1,
+    each power by naive square-and-multiply."""
+    for d in range(1, F.q):
+        if (F.q - 1) % d == 0:
+            acc, base, e = 1, g, d
+            while e:
+                if e & 1:
+                    acc = naive_mul(F, acc, base)
+                base, e = naive_mul(F, base, base), e >> 1
+            if acc == 1:
+                return d
+
+
+# prime fields, extensions under the table cap, and 2^17 above it (2^17 - 1
+# is prime, so every unit but 1 has full order there)
+@pytest.mark.parametrize("spec", ["2", "3", "7", "13", "2^3", "2^5", "3^3", "5^2", "7^2", "2^17"])
+def test_primitive_element_has_order_q_minus_1(spec):
+    F = parse_field_spec(spec)
+    assert F._primitive is None  # found on first use, not by the constructor
+    g = F.primitive_element()
+    assert _order(F, g) == F.q - 1
+    if F.q <= 1 << 8:
+        # the smallest encoding of full order
+        assert all(_order(F, c) < F.q - 1 for c in range(1, g))
+    if 1 < F.m and F.q <= gf._TABLE_Q_CAP:
+        F.kernels()
+        assert F._exp[1] == g  # the exp/log tables are built over it
