@@ -230,10 +230,11 @@ class CellSums:
 
     The cell's fixed inputs are fetched once, on first use: D's sorted
     elements, D_n(x,a) for x in encoding order, 1/N_x, and eta(x^2-4a)
-    (odd q) or the two weil3 shift rows (even q).  These methods are the
-    only summation code: the public single-b functions call them on
-    `_psi_table(field, b)` and the suites on the tables of
-    `characters_by_powers`.  Preconditions are left to `require_sum`.
+    (odd q) or the two weil3 shift rows (even q), compared once: equal
+    rows make the pair one sum.  These methods are the only summation
+    code: the public single-b functions call them on `_psi_table(field, b)`
+    and the suites on the tables of `characters_by_powers`.  Preconditions
+    are left to `require_sum`.
     """
 
     def __init__(self, spec: DicksonSpec, D: EvaluationSet | None = None):
@@ -251,6 +252,12 @@ class CellSums:
     @cached_property
     def shifts(self):
         return _weil3_shift_tables(self.spec.field, self.spec.a)
+
+    @cached_property
+    def shifts_equal(self) -> bool:
+        """Whether the two weil3 shift rows agree, as Tr(z) = Tr(z^2) says."""
+        t_sq, t_lin = self.shifts
+        return t_sq == t_lin
 
     @cached_property
     def weights(self) -> tuple[float, ...]:
@@ -277,11 +284,12 @@ class CellSums:
 
     def weil3(self, row) -> tuple[CharSumReport, CharSumReport]:
         t_sq, t_lin = self.shifts
-        total1 = sum(map(operator.mul, islice(row, 1, None), t_sq))  # x in F_q^*
-        total2 = sum(map(operator.mul, islice(row, 1, None), t_lin))
         q = self.spec.field.q
         bound = (self.spec.n + 1) * sqrt(q)
-        return _report(total1, q - 1, bound), _report(total2, q - 1, bound)
+        r1 = _report(sum(map(operator.mul, islice(row, 1, None), t_sq)), q - 1, bound)  # x != 0
+        if self.shifts_equal:  # the same terms in the same order: the same sum
+            return r1, r1
+        return r1, _report(sum(map(operator.mul, islice(row, 1, None), t_lin)), q - 1, bound)
 
     def weighted(self, row) -> complex:
         return complex(sum(map(operator.mul, row, self.weights)))

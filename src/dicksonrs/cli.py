@@ -5,6 +5,12 @@ suite.  Every command emits JSON (canonical key order); `suite` can also
 emit CSV with one row per grid instance.  There is no randomness anywhere
 in the core, so a given invocation always produces byte-identical output.
 
+Each one-shot handler takes the parsed arguments and the field and returns
+its report with a pass flag; it writes nothing.  `main` alone parses
+`--field`, writes the report to stdout or `--out` and sets the exit
+status: 0 if the report's checks pass, 1 if not, 2 on an error, which
+writes nothing.  `suite` writes its own report in its `--format`.
+
 Budgets fail soft inside `suite`: an instance whose enumeration or DP
 table would exceed its cap is recorded as "skipped: budget ...", one whose
 subset scans would is decided by the subset-sum test alone, and the rest
@@ -337,6 +343,8 @@ def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
         dev = max(dev, abs(cell.D.size - cell.weighted_trivial()))
         ok = slack >= -TOL_SLACK and dev <= TOL_IDENTITY and gap <= TOL_IDENTITY
         detail = f"worst_slack={slack:.3e} identity_dev={dev:.3e}"
+        if gap:
+            detail += f" pair_gap={gap:.3e}"
         out[slot] = _checked(params, ok, detail)
     return out
 
@@ -509,13 +517,9 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def _charsum_report_dict(rep) -> dict:
     doc = asdict(rep)
-    doc["sum"] = _complex_pair(rep.sum)
+    doc["sum"] = [rep.sum.real, rep.sum.imag]
     doc["pass"] = rep.slack >= -TOL_SLACK
     return doc
 
@@ -532,21 +536,12 @@ def _write_output(text: str, out_path: str | None):
 # subcommand handlers
 
 
-def _cmd_field(args) -> int:
-    F = parse_field_spec(args.field)
-    doc = {
-        "p": F.p,
-        "m": F.m,
-        "q": F.q,
-        "modulus": list(F.modulus),
-        "spec": F.spec_string(),
-    }
-    _write_output(_dump_json(doc), args.out)
-    return 0
+def _cmd_field(args, F: FiniteField) -> tuple[dict, bool]:
+    doc = {"p": F.p, "m": F.m, "q": F.q, "modulus": list(F.modulus), "spec": F.spec_string()}
+    return doc, True
 
 
-def _cmd_value_set(args) -> int:
-    F = parse_field_spec(args.field)
+def _cmd_value_set(args, F: FiniteField) -> tuple[dict, bool]:
     spec = DicksonSpec(F, args.n, args.a)
     if args.formula and args.elems:
         raise ValueError("--elems lists the enumerated set; it cannot be used with --formula")
@@ -562,21 +557,17 @@ def _cmd_value_set(args) -> int:
             doc["elems"] = list(vs.elems)
     if "size_formula" in doc and "size_enum" in doc:
         doc["match"] = doc["size_formula"] == doc["size_enum"]
-    _write_output(_dump_json(doc), args.out)
-    return 0 if doc.get("match", True) else 1
+    return doc, doc.get("match", True)
 
 
-def _cmd_preimage(args) -> int:
-    F = parse_field_spec(args.field)
+def _cmd_preimage(args, F: FiniteField) -> tuple[dict, bool]:
     spec = DicksonSpec(F, args.n, args.a)
     xs = list(F.elements()) if args.all_x0 else [args.x0]
     reports = [
         {"x0": rep.x0, "value": rep.value, "count": rep.count, "case": rep.case_label}
         for rep in (preimage_count(spec, x0) for x0 in xs)
     ]
-    doc = {"q": F.q, "n": args.n, "a": args.a, "reports": reports}
-    _write_output(_dump_json(doc), args.out)
-    return 0
+    return {"q": F.q, "n": args.n, "a": args.a, "reports": reports}, True
 
 
 # one --which kind for one twist, through the public functions ...
@@ -618,8 +609,7 @@ def _charsum_entry(which: str, b: int, result) -> dict:
     return entry
 
 
-def _cmd_charsum(args) -> int:
-    F = parse_field_spec(args.field)
+def _cmd_charsum(args, F: FiniteField) -> tuple[dict, bool]:
     spec = DicksonSpec(F, args.n, args.a)
     D = value_set(spec) if args.which in ("lemma", "identity") else None
     if args.all_characters:
@@ -632,12 +622,10 @@ def _cmd_charsum(args) -> int:
         results = [(b, _CHARSUM_ONE[args.which](AdditiveCharacter(F, b), spec, D))]
     reports = [_charsum_entry(args.which, b, result) for b, result in results]
     doc = {"q": F.q, "n": args.n, "a": args.a, "reports": reports}
-    _write_output(_dump_json(doc), args.out)
-    return 0 if all(entry["pass"] for entry in reports) else 1
+    return doc, all(entry["pass"] for entry in reports)
 
 
-def _cmd_deephole(args) -> int:
-    F = parse_field_spec(args.field)
+def _cmd_deephole(args, F: FiniteField) -> tuple[dict, bool]:
     D = value_set(DicksonSpec(F, args.n, args.a))
     code = RSCodeSpec.from_evaluation_set(D, args.k)
     if args.all_b1:
@@ -661,9 +649,7 @@ def _cmd_deephole(args) -> int:
         "covering_radius": D.size - args.k,
         "reports": reports,
     }
-    _write_output(_dump_json(doc), args.out)
-    ok = all(r.get("crosscheck_agree", True) for r in reports)
-    return 0 if ok else 1
+    return doc, all(r.get("crosscheck_agree", True) for r in reports)
 
 
 def _size_d(args, F: FiniteField) -> int:
@@ -673,18 +659,12 @@ def _size_d(args, F: FiniteField) -> int:
     return value_set_size_formula(DicksonSpec(F, args.n, args.a)).size
 
 
-def _cmd_bound(args) -> int:
-    F = parse_field_spec(args.field)
-    rep = main_bound_check(F.q, args.n, _size_d(args, F), args.k)
-    _write_output(_dump_json(asdict(rep)), args.out)
-    return 0
+def _cmd_bound(args, F: FiniteField) -> tuple[dict, bool]:
+    return asdict(main_bound_check(F.q, args.n, _size_d(args, F), args.k)), True
 
 
-def _cmd_region(args) -> int:
-    F = parse_field_spec(args.field)
-    region = region_solve(F.q, args.n, _size_d(args, F), args.c1)
-    _write_output(_dump_json(asdict(region)), args.out)
-    return 0
+def _cmd_region(args, F: FiniteField) -> tuple[dict, bool]:
+    return asdict(region_solve(F.q, args.n, _size_d(args, F), args.c1)), True
 
 
 def _cmd_suite(args) -> int:
@@ -775,21 +755,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--brute-force-crosscheck", action="store_true")
     sp.set_defaults(fn=_cmd_deephole)
 
-    sp = sub.add_parser("bound", help="falling-factorial guarantee check")
-    _add_field(sp)
-    _add_spec(sp, a_default=1)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--size-d", type=int, default=None,
-                    help="override |D| (default: value-set size formula)")
-    sp.set_defaults(fn=_cmd_bound)
-
-    sp = sub.add_parser("region", help="feasible message-length window")
-    _add_field(sp)
-    _add_spec(sp, a_default=1)
-    sp.add_argument("--c1", type=float, required=True)
-    sp.add_argument("--size-d", type=int, default=None,
-                    help="override |D| (default: value-set size formula)")
-    sp.set_defaults(fn=_cmd_region)
+    for name, help_, (flag, type_), fn in (
+        ("bound", "falling-factorial guarantee check", ("--k", int), _cmd_bound),
+        ("region", "feasible message-length window", ("--c1", float), _cmd_region),
+    ):
+        sp = sub.add_parser(name, help=help_)
+        _add_field(sp)
+        _add_spec(sp, a_default=1)
+        sp.add_argument(flag, type=type_, required=True)
+        sp.add_argument("--size-d", type=int, default=None,
+                        help="override |D| (default: value-set size formula)")
+        sp.set_defaults(fn=fn)
 
     # every suite flag stays a raw string (None when absent) and goes through
     # the config parser, so it overrides the file's value only when given
@@ -797,7 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", help="key=value config file; flags override its values")
     for key, (_, _, help_) in _SETTINGS.items():
         sp.add_argument(f"--{key}", help=help_)
-    sp.set_defaults(fn=_cmd_suite)
 
     return ap
 
@@ -805,7 +780,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command == "suite":
+            return _cmd_suite(args)
+        doc, ok = args.fn(args, parse_field_spec(args.field))
+        _write_output(_dump_json(doc), args.out)
+        return 0 if ok else 1
     except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

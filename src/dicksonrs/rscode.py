@@ -141,10 +141,6 @@ class ReceivedWord:
             )
         return self._interp
 
-    @property
-    def b1(self) -> int:
-        return deg_k1_reduction(self)
-
     def __repr__(self):
         return f"ReceivedWord(k={self.code.k}, values={list(self.values)})"
 

@@ -32,7 +32,6 @@ from itertools import permutations
 from math import ceil, factorial, log2, sqrt
 
 from .charsum import AdditiveCharacter, _psi_table
-from .dickson import EvaluationSet
 
 __all__ = [
     "DIRECT_MAX_D",
@@ -157,7 +156,7 @@ def sieve_identity_F(evalset, psi: AdditiveCharacter, k: int) -> tuple[complex, 
     The signs give each cycle type its (-1)^(k - #cycles), since k - #cycles
     = sum_l (l-1) c_l.  Small instances only: |D| <= DIRECT_MAX_D and k <= 5.
     """
-    elems = evalset.elems if isinstance(evalset, EvaluationSet) else tuple(evalset)
+    elems = evalset.elems
     F = psi.field
     if len(elems) > DIRECT_MAX_D or not 1 <= k <= 5:
         raise ValueError(f"direct enumeration budget is |D| <= {DIRECT_MAX_D}, k <= 5")

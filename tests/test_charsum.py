@@ -171,6 +171,15 @@ def test_weil3_pair_equal_and_bounded(grid_fields):
                     assert r1.slack >= -TOL_SLACK and r2.slack >= -TOL_SLACK
 
 
+@pytest.mark.parametrize("m", [3, 5, 8])
+def test_weil3_shift_rows_are_equal_in_characteristic_2(m):
+    # Tr(a/x^2) = Tr((a^(q/2)/x)^2) = Tr(a^(q/2)/x), so CellSums.weil3 sums once
+    F = parse_field_spec(f"2^{m}")
+    for a in (1, 3, 5):
+        t_sq, t_lin = charsum._weil3_shift_tables(F, a)
+        assert len(t_sq) == F.q - 1 and t_sq == t_lin
+
+
 def test_bounds_hold_on_small_grid(grid_fields):
     for q in [4, 5, 7, 8, 9, 13, 16]:
         F = grid_fields[q]

@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 import dicksonrs
-from dicksonrs import cli
+from dicksonrs import charsum, cli
 from dicksonrs.cli import ExperimentConfig, emit, main, run_suite
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -110,6 +110,77 @@ def test_deephole_distance_upper_for_non_deep_hole(capsys):
     assert rep["is_deep_hole"] is False
     assert rep["distance_upper"] == doc["size_d"] - 2
     assert rep["subset"] == [2, 5]
+
+
+def _report_and_status(argv, tmp_path, capsys) -> tuple[str, int]:
+    """The stdout and exit status of a one-shot call, after checking that
+    with `--out` the same call prints nothing, writes those exact bytes and
+    exits the same way."""
+    status = main(argv)
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == status
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+    return stdout, status
+
+
+ONE_SHOTS = {
+    "field": "field --field 2^4",
+    "value-set": "value-set --field 7 --n 2 --a 1 --elems",
+    "preimage": "preimage --field 7 --n 2 --a 1 --all-x0",
+    "charsum": "charsum --field 2^4 --n 3 --a 1 --which weil3 --all-characters",
+    "deephole": "deephole --field 7 --n 2 --a 1 --k 1 --all-b1 --brute-force-crosscheck",
+    "bound": "bound --field 2^8 --n 3 --k 3 --size-d 40",
+    "region": "region --field 2^16 --n 3 --c1 0.015",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_SHOTS))
+def test_out_file_holds_the_stdout_bytes(command, tmp_path, capsys):
+    stdout, status = _report_and_status(shlex.split(ONE_SHOTS[command]), tmp_path, capsys)
+    assert status == 0
+    json.loads(stdout)
+
+
+def test_failing_value_set_report_is_written(monkeypatch, tmp_path, capsys):
+    real = cli.value_set_size_formula
+    monkeypatch.setattr(cli, "value_set_size_formula",
+                        lambda spec: dataclasses.replace(real(spec), size=real(spec).size + 1))
+    argv = ["value-set", "--field", "7", "--n", "2", "--a", "1"]
+    stdout, status = _report_and_status(argv, tmp_path, capsys)
+    assert status == 1
+    doc = json.loads(stdout)
+    assert (doc["size_formula"], doc["size_enum"], doc["match"]) == (5, 4, False)
+
+
+def test_failing_deephole_crosscheck_report_is_written(monkeypatch, tmp_path, capsys):
+    # b1 = 1 is no deep hole (distance |D|-k-1 = 2); one more disagrees
+    real = cli.error_distance_bf
+    monkeypatch.setattr(cli, "error_distance_bf", lambda word, budget: dataclasses.replace(
+        real(word, budget), distance=real(word, budget).distance + 1))
+    argv = ["deephole", "--field", "7", "--n", "2", "--a", "1", "--k", "1", "--b1", "1",
+            "--brute-force-crosscheck"]
+    stdout, status = _report_and_status(argv, tmp_path, capsys)
+    assert status == 1
+    (rep,) = json.loads(stdout)["reports"]
+    assert (rep["is_deep_hole"], rep["distance"], rep["crosscheck_agree"]) == (False, 3, False)
+
+
+def test_unequal_weil3_rows_fail_the_pair_check(monkeypatch, tmp_path, capsys):
+    # the two shift rows agree in characteristic 2; negating one entry of
+    # the second must show up as a pair gap of 2 in the suite and one-shot
+    real = charsum._weil3_shift_tables
+    monkeypatch.setattr(charsum, "_weil3_shift_tables", lambda field, a: (
+        real(field, a)[0], (-real(field, a)[1][0],) + real(field, a)[1][1:]))
+    report = run_suite(ExperimentConfig(field="2^3", suites=("charsum",), n=(2,), a=(1,)))
+    (inst,) = report.suites[0].instances
+    assert inst.status == "fail" and inst.detail.endswith("pair_gap=2.000e+00")
+    argv = ["charsum", "--field", "2^3", "--n", "2", "--a", "1", "--which", "weil3"]
+    stdout, status = _report_and_status(argv, tmp_path, capsys)
+    assert status == 1
+    (entry,) = json.loads(stdout)["reports"]
+    assert entry["pair_deviation"] == 2.0 and entry["pass"] is False
 
 
 def test_field_errors_exit_2(capsys):

@@ -4,8 +4,10 @@ The deephole files under tests/golden/ were produced by the CLI before the
 subset-sum table and the unchecked polyring kernels existed; the others
 (every README example, one suite grid per runner, a config file with and
 without flag overrides, and one-shots for the remaining options) before
-the per-subcommand flag sets and the single config parser.  Any change to
-a decision, witness, count, float or key order shows up here.
+the per-subcommand flag sets and the single config parser; the trivial
+twist's lemma report before the one-shot handlers returned their reports
+to `main`.  Any change to a decision, witness, count, float or key order
+shows up here.
 
 `{golden}` in a command stands for this directory; a command with `--out`
 is compared through the file it writes.
@@ -63,6 +65,8 @@ CASES = {
     "preimage_3-3_x0.json": "preimage --field 3^3 --n 3 --a 2 --x0 5",
     "charsum_2-3_weil1.json": "charsum --field 2^3 --n 3 --a 1 --which weil1 --all-characters",
     "charsum_3-2_weil2.json": "charsum --field 3^2 --n 2 --a 1 --which weil2 --all-characters",
+    # the trivial character: bound |D|, which the Weil-type estimate is not
+    "charsum_7_lemma_b0.json": "charsum --field 7 --n 2 --a 1 --which lemma --b 0",
     "bound_2-8_size_d.json": "bound --field 2^8 --n 3 --k 8 --size-d 100",
     "region_2-16_size_d.json": "region --field 2^16 --n 3 --c1 0.015 --size-d 40000",
 }
