@@ -18,11 +18,12 @@ speed with `sum(map(...))` over a cell's fixed inputs.
 A caller that needs every nontrivial character walks them along the powers
 of a primitive element g (`characters_by_powers`): psi_{g*b}(y) =
 psi_b(g*y), so each table is one gather of the previous one, and the rows
-and sums are the same `CellSums` calls the public single-b functions make.
-Each sum therefore adds the same values in the same order whichever way
-its table was built, and its float is bit-identical; only the order of
-the characters changes, which min/max aggregates and b-sorted reports do
-not see.
+and sums are the same `SUMS` calls that `character_sum`, the one single-b
+evaluator behind the public functions, makes on the cached table.  Each
+sum therefore adds the same values in the same order whichever way its
+table was built, and its float is bit-identical; only the order of the
+characters changes, which min/max aggregates and b-sorted reports do not
+see.
 
 The four verified estimates, all of Weil type with explicit constants:
 
@@ -55,7 +56,9 @@ __all__ = [
     "AdditiveCharacter",
     "CellSums",
     "CharSumReport",
+    "SUMS",
     "char_eval",
+    "character_sum",
     "characters_by_powers",
     "nontrivial_characters",
     "require_sum",
@@ -82,10 +85,6 @@ class AdditiveCharacter:
     def __post_init__(self):
         self.field._check(self.b)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.b == 0
-
 
 @dataclass(frozen=True)
 class CharSumReport:
@@ -103,8 +102,8 @@ def nontrivial_characters(field: FiniteField):
     return (AdditiveCharacter(field, b) for b in field.units())
 
 
-# psi_1, which every other table is read from, and one more: the public
-# single-b functions build psi_b from it, while the walk gathers its own
+# psi_1, which every other table is read from, and one more: the single-b
+# evaluator `character_sum` builds psi_b from it, while the walk gathers its own
 _PSI_CACHE_SIZE = 2
 
 
@@ -183,7 +182,6 @@ def require_sum(which: str, spec: DicksonSpec, b: int = 1):
             raise ValueError("this sum is defined for even q")
         if a == 0 or b == 0:
             raise ValueError("requires a != 0 and b != 0")
-        spec.field._check(b)
     elif which == "weil2" and q % 2 == 0:
         raise ValueError("quadratic-character sum requires odd q")
     elif b == 0:
@@ -232,9 +230,9 @@ class CellSums:
     elements, D_n(x,a) for x in encoding order, 1/N_x, and eta(x^2-4a)
     (odd q) or the two weil3 shift rows (even q), compared once: equal
     rows make the pair one sum.  These methods are the only summation
-    code: the public single-b functions call them on `_psi_table(field, b)`
-    and the suites on the tables of `characters_by_powers`.  Preconditions
-    are left to `require_sum`.
+    code: `character_sum` calls them through `SUMS` on the cached psi_b
+    table, and the suites on the tables of `characters_by_powers`.
+    Preconditions are left to `require_sum`.
     """
 
     def __init__(self, spec: DicksonSpec, D: EvaluationSet | None = None):
@@ -301,41 +299,53 @@ class CellSums:
         return self.weighted(self.row([one] * self.spec.field.q))
 
 
-def sum_over_value_set(psi: AdditiveCharacter, evalset: EvaluationSet) -> CharSumReport:
-    """sum_{y in D} psi(y) against the (n+1)*sqrt(q) estimate.
+# Each `which` sum of one character on one cell, read from its psi_b table.
+# The suite's worst-case scan reads one row for several sums instead.
+SUMS = {
+    "lemma": lambda cell, tab: cell.lemma(tab),
+    "weil1": lambda cell, tab: cell.weil1(cell.row(tab)),
+    "weil2": lambda cell, tab: cell.weil2(cell.row(tab)),
+    "weil3": lambda cell, tab: cell.weil3(cell.row(tab)),
+    "identity": lambda cell, tab: abs(cell.lemma(tab).sum - cell.weighted(cell.row(tab))),
+}
 
-    A trivial psi sums to |D| exactly; the Weil-type bound does not apply
-    there, so the report carries bound = |D| and bound_applies = False.
+
+def character_sum(which: str, cell: CellSums, b: int):
+    """The `which` sum of psi_b on cell, from the cached psi_b table.
+
+    A trivial psi sums to |D| exactly over the value set; the Weil-type
+    bound does not apply there, so its lemma report carries bound = |D|
+    and bound_applies = False.
     """
-    F = psi.field
-    spec = evalset.spec
-    if F != spec.field:
+    spec = cell.spec
+    spec.field._check(b)
+    require_sum(which, spec, b)
+    result = SUMS[which](cell, _psi_table(spec.field, b))
+    if which == "lemma" and b == 0:
+        return _report(result.sum, result.terms, float(result.terms), bound_applies=False)
+    return result
+
+
+def _cell(psi: AdditiveCharacter, spec: DicksonSpec, D: EvaluationSet | None = None) -> CellSums:
+    if psi.field != spec.field:
         raise ValueError("character and evaluation set live in different fields")
-    require_sum("lemma", spec, psi.b)
-    rep = CellSums(spec, evalset).lemma(_psi_table(F, psi.b))
-    if psi.is_trivial:
-        return _report(rep.sum, rep.terms, float(rep.terms), bound_applies=False)
-    return rep
+    return CellSums(spec, D)
 
 
-def _cell_row(spec: DicksonSpec, b: int) -> tuple[CellSums, list]:
-    """spec's cell and its row for psi_b, from the cached psi_b table."""
-    cell = CellSums(spec)
-    return cell, cell.row(_psi_table(spec.field, b))
+def sum_over_value_set(psi: AdditiveCharacter, evalset: EvaluationSet) -> CharSumReport:
+    """sum_{y in D} psi(y) against the (n+1)*sqrt(q) estimate, or against
+    |D| for a trivial psi (see `character_sum`)."""
+    return character_sum("lemma", _cell(psi, evalset.spec, evalset), psi.b)
 
 
 def weil_sum_1(psi: AdditiveCharacter, spec: DicksonSpec) -> CharSumReport:
     """sum over all of F_q of psi(D_n(x,a)), bound (n-1)*sqrt(q)."""
-    require_sum("weil1", spec, psi.b)
-    cell, row = _cell_row(spec, psi.b)
-    return cell.weil1(row)
+    return character_sum("weil1", _cell(psi, spec), psi.b)
 
 
 def weil_sum_2(psi: AdditiveCharacter, spec: DicksonSpec) -> CharSumReport:
     """sum of eta(x^2-4a) * psi(D_n(x,a)) over F_q, odd q only."""
-    require_sum("weil2", spec, psi.b)
-    cell, row = _cell_row(spec, psi.b)
-    return cell.weil2(row)
+    return character_sum("weil2", _cell(psi, spec), psi.b)
 
 
 def weil_sum_3(b: int, spec: DicksonSpec) -> tuple[CharSumReport, CharSumReport]:
@@ -347,15 +357,13 @@ def weil_sum_3(b: int, spec: DicksonSpec) -> tuple[CharSumReport, CharSumReport]
     (a^(q/2)/x)^2 = a/x^2, so the two shift factors carry the same trace.
     Both sums obey (n+1)*sqrt(q).
     """
-    require_sum("weil3", spec, b)
-    cell, row = _cell_row(spec, b)
-    return cell.weil3(row)
+    return character_sum("weil3", CellSums(spec), b)
 
 
 def weighted_sum(psi: AdditiveCharacter, spec: DicksonSpec) -> complex:
     """sum_x psi(D_n(x,a)) / N_x, the weighted identity's right side."""
-    cell, row = _cell_row(spec, psi.b)
-    return cell.weighted(row)
+    cell = _cell(psi, spec)
+    return cell.weighted(cell.row(_psi_table(spec.field, psi.b)))
 
 
 def weighted_identity_check(psi: AdditiveCharacter, D: EvaluationSet) -> float:
@@ -364,4 +372,4 @@ def weighted_identity_check(psi: AdditiveCharacter, D: EvaluationSet) -> float:
     N_x comes from the formula, the left side from enumeration, so a small
     deviation certifies the formula at every point of this (n, a) grid cell.
     """
-    return abs(sum_over_value_set(psi, D).sum - weighted_sum(psi, D.spec))
+    return character_sum("identity", _cell(psi, D.spec, D), psi.b)

@@ -31,17 +31,14 @@ from math import comb, factorial, perm
 
 from . import __version__
 from .charsum import (
+    SUMS,
     TOL_IDENTITY,
     TOL_SLACK,
     AdditiveCharacter,
     CellSums,
+    character_sum,
     characters_by_powers,
     require_sum,
-    sum_over_value_set,
-    weighted_identity_check,
-    weil_sum_1,
-    weil_sum_2,
-    weil_sum_3,
 )
 from .dickson import (
     DicksonSpec,
@@ -377,6 +374,12 @@ def _run_sieve(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     return out
 
 
+def _crosscheck_cost(size_d: int, k: int, words: int) -> int:
+    """Pencil parameters, C(|D|, k) per word, of brute-force distances for
+    `words` words: what `--budget-subsets` bounds in the suite and one-shot."""
+    return comb(size_d, k) * words
+
+
 def _deephole_report(word: ReceivedWord, budget_dp: int, budget_subsets: int | None) -> dict:
     """Subset-sum decision, N_u and distance of one degree-(k+1) word; with
     `budget_subsets` also the brute-force distance and whether it agrees."""
@@ -418,7 +421,7 @@ def _run_deephole(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
                 out.append(InstanceResult(params, "skipped", "skipped: budget (DP)"))
                 continue
             code = RSCodeSpec.from_evaluation_set(D, k)
-            crosscheck = comb(D.size, k) * F.q <= cfg.budget_subsets
+            crosscheck = _crosscheck_cost(D.size, k, F.q) <= cfg.budget_subsets
             bad = None
             total_nu = 0
             for b1 in F.elements():
@@ -454,11 +457,11 @@ def _run_region(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
         except ValueError as e:
             out.append(InstanceResult(params, "skipped", f"skipped: {e}"))
             continue
-        # re-verify the scan inequality on (a prefix of) the window; an
-        # empty window is a legitimate outcome, not a failure
-        ok = all(
-            k < size_d * (F.q ** (-1.0 / (k + 1)) - 0.5 - cfg.c1)
-            for k in range(region.k_min, min(region.k_max, region.k_min + 64) + 1)
+        # the bound chain must guarantee both ends of the window; an empty
+        # window is a legitimate outcome, not a failure
+        ok = region.k_max < region.k_min or all(
+            main_bound_check(F.q, spec.n, size_d, k).guaranteed
+            for k in (region.k_min, region.k_max)
         )
         detail = f"k_min={region.k_min} k_max={region.k_max} size_d={size_d}"
         if region.k_max < region.k_min:
@@ -570,24 +573,6 @@ def _cmd_preimage(args, F: FiniteField) -> tuple[dict, bool]:
     return {"q": F.q, "n": args.n, "a": args.a, "reports": reports}, True
 
 
-# one --which kind for one twist, through the public functions ...
-_CHARSUM_ONE = {
-    "lemma": lambda psi, spec, D: sum_over_value_set(psi, D),
-    "weil1": lambda psi, spec, D: weil_sum_1(psi, spec),
-    "weil2": lambda psi, spec, D: weil_sum_2(psi, spec),
-    "weil3": lambda psi, spec, D: weil_sum_3(psi.b, spec),
-    "identity": lambda psi, spec, D: weighted_identity_check(psi, D),
-}
-# ... or for a walked table, through the same summation code
-_CHARSUM_WALK = {
-    "lemma": lambda cell, tab: cell.lemma(tab),
-    "weil1": lambda cell, tab: cell.weil1(cell.row(tab)),
-    "weil2": lambda cell, tab: cell.weil2(cell.row(tab)),
-    "weil3": lambda cell, tab: cell.weil3(cell.row(tab)),
-    "identity": lambda cell, tab: abs(cell.lemma(tab).sum - cell.weighted(cell.row(tab))),
-}
-
-
 def _charsum_entry(which: str, b: int, result) -> dict:
     entry = {"b": b, "which": which}
     if which == "weil3":
@@ -611,15 +596,14 @@ def _charsum_entry(which: str, b: int, result) -> dict:
 
 def _cmd_charsum(args, F: FiniteField) -> tuple[dict, bool]:
     spec = DicksonSpec(F, args.n, args.a)
-    D = value_set(spec) if args.which in ("lemma", "identity") else None
+    cell = CellSums(spec, value_set(spec) if args.which in ("lemma", "identity") else None)
     if args.all_characters:
         require_sum(args.which, spec)
-        cell, walk_sum = CellSums(spec, D), _CHARSUM_WALK[args.which]
-        results = {b: walk_sum(cell, tab) for b, tab in characters_by_powers(F)}
-        results = sorted(results.items())
+        walk_sum = SUMS[args.which]
+        results = sorted((b, walk_sum(cell, tab)) for b, tab in characters_by_powers(F))
     else:
         b = 1 if args.b is None else args.b
-        results = [(b, _CHARSUM_ONE[args.which](AdditiveCharacter(F, b), spec, D))]
+        results = [(b, character_sum(args.which, cell, b))]
     reports = [_charsum_entry(args.which, b, result) for b, result in results]
     doc = {"q": F.q, "n": args.n, "a": args.a, "reports": reports}
     return doc, all(entry["pass"] for entry in reports)
@@ -640,6 +624,10 @@ def _cmd_deephole(args, F: FiniteField) -> tuple[dict, bool]:
     else:
         words = [monomial_word(code, args.b1)]
     budget_subsets = args.budget_subsets if args.brute_force_crosscheck else None
+    cost = _crosscheck_cost(D.size, args.k, len(words))
+    if budget_subsets is not None and cost > budget_subsets:
+        raise ValueError(f"crosschecking {len(words)} word(s) takes {cost} pencil parameters, "
+                         f"over the subset budget {budget_subsets}")
     reports = [_deephole_report(word, args.budget_dp, budget_subsets) for word in words]
     doc = {
         "q": F.q,

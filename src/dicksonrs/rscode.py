@@ -101,7 +101,9 @@ class RSCodeSpec:
 
 
 class ReceivedWord:
-    """A length-|D| word aligned with the code's point order."""
+    """A length-|D| word aligned with the code's point order.  Values given
+    here are range-checked, and interpolated on first read; `from_poly`
+    keeps a polynomial of degree < |D| and evaluates it on first read."""
 
     def __init__(self, code: RSCodeSpec, values):
         values = tuple(values)
@@ -111,35 +113,26 @@ class ReceivedWord:
             code.field._check(v)
         self.code = code
         self.values = values
-        self._interp = None
 
     @classmethod
     def from_poly(cls, code: RSCodeSpec, poly: Polynomial) -> "ReceivedWord":
-        """Evaluations of poly over the code's points.  When deg poly < |D|,
-        poly is the unique interpolant of those values and is kept as it."""
+        """The word of poly's values over the code's points."""
         if poly.field != code.field:
             raise ValueError("polynomial from a different field")
-        add, mul = code.field.kernels()
-        high_to_low = poly.coeffs[::-1]
-        values = []
-        for x in code.points:
-            acc = 0
-            for c in high_to_low:
-                acc = add(mul(acc, x), c)
-            values.append(acc)
-        word = cls(code, values)
-        if poly.degree < code.length:
-            word._interp = poly
+        if poly.degree >= code.length:
+            return cls(code, map(poly.evaluate, code.points))
+        word = cls.__new__(cls)
+        word.code, word.interp = code, poly
         return word
 
-    @property
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        return tuple(map(self.interp.evaluate, self.code.points))
+
+    @cached_property
     def interp(self) -> Polynomial:
-        """Lagrange interpolant through (points[i], values[i]); cached."""
-        if self._interp is None:
-            self._interp = lagrange_interpolate(
-                self.code.field, list(zip(self.code.points, self.values))
-            )
-        return self._interp
+        """Lagrange interpolant through (points[i], values[i])."""
+        return lagrange_interpolate(self.code.field, list(zip(self.code.points, self.values)))
 
     def __repr__(self):
         return f"ReceivedWord(k={self.code.k}, values={list(self.values)})"

@@ -424,3 +424,76 @@ def test_enumerating_suites_leave_the_values_vector_cache_empty():
     report = run_suite(cfg)
     assert all(i.status != "fail" for s in report.suites for i in s.instances)
     assert values_vector.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("field, which", [
+    ("2^4", "lemma"), ("2^4", "weil1"), ("2^4", "weil3"), ("2^4", "identity"),
+    ("3^2", "lemma"), ("3^2", "weil1"), ("3^2", "weil2"), ("3^2", "identity"),
+])
+def test_charsum_single_b_matches_the_walk(field, which, capsys):
+    # `--b` goes through the single-b evaluator, `--all-characters` through
+    # the walk; both must print the same entry for every unit b
+    argv = ["charsum", "--field", field, "--n", "3", "--a", "1", "--which", which]
+    main(argv + ["--all-characters"])
+    walked = json.loads(capsys.readouterr().out)["reports"]
+    F = dicksonrs.parse_field_spec(field)
+    assert [entry["b"] for entry in walked] == list(F.units())
+    for entry in walked:
+        main(argv + ["--b", str(entry["b"])])
+        assert json.loads(capsys.readouterr().out)["reports"] == [entry]
+
+
+@pytest.mark.parametrize("which", ["lemma", "weil1", "weil2", "weil3", "identity"])
+def test_charsum_out_of_range_b_exits_2(which, capsys):
+    argv = ["charsum", "--field", "2^6", "--n", "3", "--a", "1", "--which", which, "--b", "64"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_over_budget_all_b1_fails_before_building_words(capsys):
+    # the DP budget fires on the first word; no word is evaluated over D
+    # before it, so memory does not grow with q*|D| (about 400 MB here)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        status = main(["deephole", "--field", "2^12", "--n", "3", "--a", "1", "--k", "1",
+                       "--all-b1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert peak < 50 * 2**20
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DP size" in captured.err
+
+
+def test_budget_subsets_bounds_every_crosschecked_word(capsys):
+    # |D| = 4 and k = 1: 7 words of C(4, 1) = 4 pencil parameters each
+    argv = ["deephole", "--field", "7", "--n", "2", "--a", "1", "--k", "1", "--all-b1",
+            "--brute-force-crosscheck", "--budget-subsets"]
+    assert main(argv + ["27"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "subset budget 27" in captured.err
+    assert main(argv + ["28"]) == 0
+    capsys.readouterr()
+    assert main(["suite", "--field", "7", "--suites", "deephole", "--n", "2", "--a", "1",
+                 "--k", "1", "--budget-subsets", "27", "--format", "csv"]) == 0
+    (row,) = capsys.readouterr().out.splitlines()[1:]
+    assert row.endswith("(subset-sum only)")
+    assert main(["suite", "--field", "7", "--suites", "deephole", "--n", "2", "--a", "1",
+                 "--k", "1", "--budget-subsets", "28", "--format", "csv"]) == 0
+    (row,) = capsys.readouterr().out.splitlines()[1:]
+    assert row.endswith("all 7 b1 values agree")
+
+
+def test_region_suite_fails_a_window_the_bound_chain_does_not_guarantee(monkeypatch):
+    # the real 2^16 window stretched to k_max = |D| - 2, where the
+    # falling-factorial chain gives no guarantee
+    real = cli.region_solve
+    monkeypatch.setattr(cli, "region_solve", lambda q, n, size_d, c1: dataclasses.replace(
+        real(q, n, size_d, c1), k_max=size_d - 2))
+    cfg = ExperimentConfig(field="2^16", suites=("region",), n=(3,), a=(1,), c1=0.015)
+    (inst,) = run_suite(cfg).suites[0].instances
+    assert inst.status == "fail" and "k_max=43689" in inst.detail

@@ -182,6 +182,21 @@ def test_monomial_word_keeps_its_interpolant(grid_fields):
             assert word.interp.degree == code.k + 1
 
 
+def test_polynomial_word_is_evaluated_on_first_read(monkeypatch, grid_fields):
+    # a word built from a polynomial of degree < |D| is evaluated only when
+    # its values are read, one Polynomial.evaluate call per point
+    F = grid_fields[27]
+    code = RSCodeSpec.from_evaluation_set(value_set(DicksonSpec(F, 3, 1)), 2)
+    calls = []
+    real = Polynomial.evaluate
+    monkeypatch.setattr(Polynomial, "evaluate", lambda p, x: calls.append(x) or real(p, x))
+    word = monomial_word(code, 5)
+    assert deg_k1_reduction(word) == 5 and calls == []
+    want = tuple(real(word.interp, x) for x in code.points)
+    assert word.values == want and calls == list(code.points)
+    assert word.values is word.values and len(calls) == code.length
+
+
 def test_full_length_monomial_word_is_reinterpolated(dickson_code_f7, f7):
     # k + 1 = |D|: x^4 - b1*x^3 takes the values of a degree-<4 polynomial
     # on D, so its interpolant is not of degree k+1
