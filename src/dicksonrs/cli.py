@@ -11,10 +11,11 @@ its report with a pass flag; it writes nothing.  `main` alone parses
 status: 0 if the report's checks pass, 1 if not, 2 on an error, which
 writes nothing.  `suite` writes its own report in its `--format`.
 
-Budgets fail soft inside `suite`: an instance whose enumeration or DP
-table would exceed its cap is recorded as "skipped: budget ...", one whose
-subset scans would is decided by the subset-sum test alone, and the rest
-still run.  The process exit status is 0 iff no instance failed.
+Each budget is checked before the work it bounds: `deephole` and its suite
+check both of a code's budgets before building a word.  In `suite` budgets
+fail soft: an instance over its enumeration or DP cap is recorded as
+"skipped: budget ...", one over its subset-scan cap is decided by the
+subset-sum test alone, and the rest run; exit 0 iff no instance failed.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .charsum import (
 )
 from .dickson import (
     DicksonSpec,
+    field_elements,
     preimage_count,
     value_counts,
     value_set,
@@ -54,7 +56,7 @@ from .rscode import (
     DEFAULT_SUBSET_BUDGET,
     RSCodeSpec,
     ReceivedWord,
-    _dp_guard,
+    _code_table,
     deg_k1_deep_hole_test,
     error_distance_bf,
     count_Nu,
@@ -374,36 +376,42 @@ def _run_sieve(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     return out
 
 
-def _crosscheck_cost(size_d: int, k: int, words: int) -> int:
-    """Pencil parameters, C(|D|, k) per word, of brute-force distances for
-    `words` words: what `--budget-subsets` bounds in the suite and one-shot."""
-    return comb(size_d, k) * words
+def _deep_holes(code: RSCodeSpec, make_word, sources, budget_dp: int,
+                budget_subsets: int | None, fall_back: bool = False):
+    """Check both budgets of the words make_word(code, s), s in `sources`,
+    before building any; return whether they are crosschecked and their lazy
+    reports.  Crosschecks cost C(|D|, k) pencil parameters a word; over
+    `budget_subsets` (None: none) they raise, or are dropped if `fall_back`."""
+    radius = code.length - code.k
+    cost = comb(code.length, code.k) * len(sources)
+    crosscheck = budget_subsets is not None and cost <= budget_subsets
+    if budget_subsets is not None and not crosscheck and not fall_back:
+        raise ValueError(f"crosschecking {len(sources)} word(s) takes {cost} pencil parameters, "
+                         f"over the subset budget {budget_subsets}")
+    _code_table(code, budget_dp)
 
+    def reports():
+        for word in (make_word(code, s) for s in sources):
+            res = deg_k1_deep_hole_test(word, budget_dp)
+            entry = {
+                "k": code.k,
+                "b1": res.b1,
+                "is_deep_hole": res.is_deep_hole,
+                "subset": list(res.subset) if res.subset else None,
+                "codeword": res.codeword.literal() if res.codeword else None,
+                "n_u": count_Nu(code, res.b1, budget_dp),
+            }
+            # a degree-(k+1) word sits at distance |D|-k (deep hole) or |D|-k-1
+            if res.is_deep_hole:
+                entry["distance"] = radius
+            else:
+                entry["distance_upper"] = radius - 1
+            if crosscheck:
+                entry["distance"] = dist = error_distance_bf(word, budget_subsets).distance
+                entry["crosscheck_agree"] = (dist < radius) == (not res.is_deep_hole)
+            yield entry
 
-def _deephole_report(word: ReceivedWord, budget_dp: int, budget_subsets: int | None) -> dict:
-    """Subset-sum decision, N_u and distance of one degree-(k+1) word; with
-    `budget_subsets` also the brute-force distance and whether it agrees."""
-    code = word.code
-    res = deg_k1_deep_hole_test(word, budget_dp)
-    entry = {
-        "k": code.k,
-        "b1": res.b1,
-        "is_deep_hole": res.is_deep_hole,
-        "subset": list(res.subset) if res.subset else None,
-        "codeword": res.codeword.literal() if res.codeword else None,
-        "n_u": count_Nu(code, res.b1, budget_dp),
-    }
-    # a degree-(k+1) word sits at distance |D|-k (deep hole) or |D|-k-1
-    if res.is_deep_hole:
-        entry["distance"] = code.length - code.k
-    else:
-        entry["distance_upper"] = code.length - code.k - 1
-    if budget_subsets is not None:
-        entry["distance"] = error_distance_bf(word, budget_subsets).distance
-        entry["crosscheck_agree"] = (
-            entry["distance"] <= code.length - code.k - 1
-        ) == (not res.is_deep_hole)
-    return entry
+    return crosscheck, reports()
 
 
 def _run_deephole(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
@@ -415,23 +423,20 @@ def _run_deephole(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
                 out.append(InstanceResult(params, "skipped",
                                           "skipped: no degree-(k+1) words (k+1 > |D|-1)"))
                 continue
+            code = RSCodeSpec.from_evaluation_set(D, k)
             try:
-                _dp_guard(D.size, k + 1, F.q, cfg.budget_dp)
+                crosscheck, reports = _deep_holes(code, monomial_word, F.elements(),
+                                                  cfg.budget_dp, cfg.budget_subsets,
+                                                  fall_back=True)
             except ValueError:
                 out.append(InstanceResult(params, "skipped", "skipped: budget (DP)"))
                 continue
-            code = RSCodeSpec.from_evaluation_set(D, k)
-            crosscheck = _crosscheck_cost(D.size, k, F.q) <= cfg.budget_subsets
             bad = None
             total_nu = 0
-            for b1 in F.elements():
-                entry = _deephole_report(
-                    monomial_word(code, b1), cfg.budget_dp,
-                    cfg.budget_subsets if crosscheck else None,
-                )
+            for entry in reports:
                 total_nu += entry["n_u"]
                 if not entry.get("crosscheck_agree", True):
-                    bad = (f"b1={b1}: distance {entry['distance']} "
+                    bad = (f"b1={entry['b1']}: distance {entry['distance']} "
                            f"vs subset-sum {entry['is_deep_hole']}")
                     break
             fall = perm(D.size, k + 1)
@@ -565,7 +570,7 @@ def _cmd_value_set(args, F: FiniteField) -> tuple[dict, bool]:
 
 def _cmd_preimage(args, F: FiniteField) -> tuple[dict, bool]:
     spec = DicksonSpec(F, args.n, args.a)
-    xs = list(F.elements()) if args.all_x0 else [args.x0]
+    xs = field_elements(F) if args.all_x0 else [args.x0]
     reports = [
         {"x0": rep.x0, "value": rep.value, "count": rep.count, "case": rep.case_label}
         for rep in (preimage_count(spec, x0) for x0 in xs)
@@ -612,32 +617,26 @@ def _cmd_charsum(args, F: FiniteField) -> tuple[dict, bool]:
 def _cmd_deephole(args, F: FiniteField) -> tuple[dict, bool]:
     D = value_set(DicksonSpec(F, args.n, args.a))
     code = RSCodeSpec.from_evaluation_set(D, args.k)
-    if args.all_b1:
-        words = [monomial_word(code, b1) for b1 in F.elements()]
-    elif args.word is not None:
+    if args.word is not None:
         values = json.loads(args.word)
         if not isinstance(values, list) or any(type(v) is not int for v in values):
             raise ValueError("--word must be a JSON array of integer element encodings")
-        words = [ReceivedWord(code, values)]
+        make_word, sources = ReceivedWord, [values]
     elif args.word_poly is not None:
-        words = [ReceivedWord.from_poly(code, parse_poly_literal(F, args.word_poly))]
+        make_word, sources = ReceivedWord.from_poly, [parse_poly_literal(F, args.word_poly)]
     else:
-        words = [monomial_word(code, args.b1)]
-    budget_subsets = args.budget_subsets if args.brute_force_crosscheck else None
-    cost = _crosscheck_cost(D.size, args.k, len(words))
-    if budget_subsets is not None and cost > budget_subsets:
-        raise ValueError(f"crosschecking {len(words)} word(s) takes {cost} pencil parameters, "
-                         f"over the subset budget {budget_subsets}")
-    reports = [_deephole_report(word, args.budget_dp, budget_subsets) for word in words]
+        make_word, sources = monomial_word, (F.elements() if args.all_b1 else [args.b1])
+    _, reports = _deep_holes(code, make_word, sources, args.budget_dp,
+                             args.budget_subsets if args.brute_force_crosscheck else None)
     doc = {
         "q": F.q,
         "n": args.n,
         "a": args.a,
         "size_d": D.size,
         "covering_radius": D.size - args.k,
-        "reports": reports,
+        "reports": list(reports),
     }
-    return doc, all(r.get("crosscheck_agree", True) for r in reports)
+    return doc, all(r.get("crosscheck_agree", True) for r in doc["reports"])
 
 
 def _size_d(args, F: FiniteField) -> int:

@@ -24,6 +24,7 @@ even n and is what exhaustive verification confirms for odd n.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +38,7 @@ __all__ = [
     "PreimageReport",
     "ValueSetReport",
     "dickson_eval",
+    "field_elements",
     "preimage_count",
     "value_counts",
     "value_set",
@@ -120,15 +122,18 @@ def values_vector(spec: DicksonSpec) -> tuple[int, ...]:
     return tuple(_eval_recurrence(spec.field, spec.n, spec.a, spec.field.elements()))
 
 
+def field_elements(field: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -> range:
+    """Every element of the field, or a ValueError if q exceeds `budget`."""
+    if field.q > budget:
+        raise ValueError(f"q = {field.q} exceeds the enumeration budget {budget}")
+    return field.elements()
+
+
 def value_counts(spec: DicksonSpec, budget: int = DEFAULT_ENUM_BUDGET) -> dict[int, int]:
     """Exact multiplicity of every attained value, by full enumeration."""
-    if spec.field.q > budget:
-        raise ValueError(f"q = {spec.field.q} exceeds the enumeration budget {budget}")
-    counts: dict[int, int] = {}
     # not values_vector: its cache is the character sums' working set
-    for v in _eval_recurrence(spec.field, spec.n, spec.a, spec.field.elements()):
-        counts[v] = counts.get(v, 0) + 1
-    return counts
+    xs = field_elements(spec.field, budget)
+    return Counter(_eval_recurrence(spec.field, spec.n, spec.a, xs))
 
 
 def value_set(spec: DicksonSpec, budget: int = DEFAULT_ENUM_BUDGET) -> EvaluationSet:

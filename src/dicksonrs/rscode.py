@@ -89,7 +89,7 @@ class RSCodeSpec:
     @cached_property
     def subset_sums(self) -> "SubsetSumTable":
         """Subset-sum table of the points for r = k+1, built on first use
-        and freed with the code; callers apply `_dp_guard` first."""
+        and freed with the code; callers check it through `_code_table`."""
         return SubsetSumTable(self.field, self.points, self.k + 1)
 
     @cached_property

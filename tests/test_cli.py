@@ -469,6 +469,61 @@ def test_over_budget_all_b1_fails_before_building_words(capsys):
     assert captured.out == "" and "DP size" in captured.err
 
 
+def test_over_budget_all_b1_builds_no_word(monkeypatch, capsys):
+    # both budgets are checked once per code, before the first word is built
+    built = []
+    real = cli.monomial_word
+    monkeypatch.setattr(cli, "monomial_word", lambda code, b1: built.append(b1) or real(code, b1))
+    assert main(["deephole", "--field", "2^16", "--n", "3", "--a", "1", "--k", "3",
+                 "--all-b1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DP size" in captured.err
+    assert built == []
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the budgets must refuse the word before this runs")
+
+
+@pytest.mark.parametrize("source", ["word", "word-poly"])
+def test_over_budget_word_fails_before_interpolating(source, monkeypatch, capsys):
+    # |D| = 2731 at (2^12, n=3, a=1), so the DP for k = 1 is over its budget;
+    # the word's values would need a 2731-point interpolation, and x^2731 an
+    # evaluation at every point of D (and it has the wrong degree as well)
+    from dicksonrs import polyring, rscode
+
+    F = dicksonrs.parse_field_spec("2^12")
+    D = dicksonrs.value_set(dicksonrs.DicksonSpec(F, 3, 1))
+    if source == "word":
+        text = json.dumps([F.add(F.mul(x, x), F.mul(5, x)) for x in D.elems])
+    else:
+        text = ",".join(["0"] * D.size + ["1"])
+    monkeypatch.setattr(rscode, "lagrange_interpolate", _refuse)
+    monkeypatch.setattr(polyring.Polynomial, "evaluate", _refuse)
+    assert main(["deephole", "--field", "2^12", "--n", "3", "--a", "1", "--k", "1",
+                 f"--{source}", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DP size" in captured.err
+
+
+def test_preimage_all_x0_obeys_the_enumeration_budget(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "preimage_count", _refuse)
+    assert main(["preimage", "--field", "2^21", "--n", "3", "--a", "1", "--all-x0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "enumeration budget" in captured.err
+
+
+def test_suite_budget_skip_covers_only_the_budgets(monkeypatch):
+    # a word that fails to be decided is an error, not a budget skip
+    def broken(word, budget):
+        raise ValueError("broken word")
+
+    monkeypatch.setattr(cli, "deg_k1_deep_hole_test", broken)
+    cfg = ExperimentConfig(field="7", suites=("deephole",), n=(2,), a=(1,), k=(1,))
+    with pytest.raises(ValueError, match="broken word"):
+        run_suite(cfg)
+
+
 def test_budget_subsets_bounds_every_crosschecked_word(capsys):
     # |D| = 4 and k = 1: 7 words of C(4, 1) = 4 pencil parameters each
     argv = ["deephole", "--field", "7", "--n", "2", "--a", "1", "--k", "1", "--all-b1",
