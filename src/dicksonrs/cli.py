@@ -43,7 +43,6 @@ from .charsum import (
 )
 from .dickson import (
     DicksonSpec,
-    field_elements,
     preimage_count,
     value_counts,
     value_set,
@@ -570,7 +569,7 @@ def _cmd_value_set(args, F: FiniteField) -> tuple[dict, bool]:
 
 def _cmd_preimage(args, F: FiniteField) -> tuple[dict, bool]:
     spec = DicksonSpec(F, args.n, args.a)
-    xs = field_elements(F) if args.all_x0 else [args.x0]
+    xs = F.elements() if args.all_x0 else [args.x0]
     reports = [
         {"x0": rep.x0, "value": rep.value, "count": rep.count, "case": rep.case_label}
         for rep in (preimage_count(spec, x0) for x0 in xs)

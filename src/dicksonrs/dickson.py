@@ -38,16 +38,12 @@ __all__ = [
     "PreimageReport",
     "ValueSetReport",
     "dickson_eval",
-    "field_elements",
     "preimage_count",
     "value_counts",
     "value_set",
     "value_set_size_formula",
     "values_vector",
 ]
-
-DEFAULT_ENUM_BUDGET = 1 << 20
-
 
 @dataclass(frozen=True)
 class DicksonSpec:
@@ -122,23 +118,15 @@ def values_vector(spec: DicksonSpec) -> tuple[int, ...]:
     return tuple(_eval_recurrence(spec.field, spec.n, spec.a, spec.field.elements()))
 
 
-def field_elements(field: FiniteField, budget: int = DEFAULT_ENUM_BUDGET) -> range:
-    """Every element of the field, or a ValueError if q exceeds `budget`."""
-    if field.q > budget:
-        raise ValueError(f"q = {field.q} exceeds the enumeration budget {budget}")
-    return field.elements()
-
-
-def value_counts(spec: DicksonSpec, budget: int = DEFAULT_ENUM_BUDGET) -> dict[int, int]:
+def value_counts(spec: DicksonSpec) -> dict[int, int]:
     """Exact multiplicity of every attained value, by full enumeration."""
     # not values_vector: its cache is the character sums' working set
-    xs = field_elements(spec.field, budget)
-    return Counter(_eval_recurrence(spec.field, spec.n, spec.a, xs))
+    return Counter(_eval_recurrence(spec.field, spec.n, spec.a, spec.field.elements()))
 
 
-def value_set(spec: DicksonSpec, budget: int = DEFAULT_ENUM_BUDGET) -> EvaluationSet:
+def value_set(spec: DicksonSpec) -> EvaluationSet:
     """Enumerated evaluation set, sorted by encoding; deterministic."""
-    return EvaluationSet(spec, tuple(sorted(value_counts(spec, budget))))
+    return EvaluationSet(spec, tuple(sorted(value_counts(spec))))
 
 
 def value_set_size_formula(spec: DicksonSpec) -> ValueSetReport:

@@ -45,6 +45,7 @@ __all__ = [
 
 _Q_CAP = 1 << 32
 _TABLE_Q_CAP = 1 << 16
+_ENUM_Q_CAP = 1 << 20  # largest q whose elements may be enumerated
 
 
 def _is_prime(n: int) -> bool:
@@ -262,6 +263,9 @@ class FiniteField:
         return base + "/" + ",".join(str(c) for c in self.modulus)
 
     def elements(self) -> range:
+        """Every element, for a whole-field pass; a ValueError past q = 2^20."""
+        if self.q > _ENUM_Q_CAP:
+            raise ValueError(f"q = {self.q} exceeds the enumeration budget {_ENUM_Q_CAP}")
         return range(self.q)
 
     def units(self) -> range:

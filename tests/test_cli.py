@@ -513,6 +513,22 @@ def test_preimage_all_x0_obeys_the_enumeration_budget(monkeypatch, capsys):
     assert captured.out == "" and "enumeration budget" in captured.err
 
 
+# 3^13 = 1,594,323 and 2^21 both exceed the budget 2^20; lemma and identity,
+# which enumerate D first, are the controls
+@pytest.mark.parametrize("which, field", [("weil1", "2^21"), ("weil3", "2^21"),
+                                          ("weil2", "3^13"), ("lemma", "2^21"),
+                                          ("identity", "2^21")])
+@pytest.mark.parametrize("chars", [["--b", "1"], ["--all-characters"]], ids=["b1", "all"])
+def test_charsum_obeys_the_enumeration_budget(which, field, chars, monkeypatch, capsys):
+    monkeypatch.setattr(charsum, "_gather", _refuse)
+    monkeypatch.setattr(dicksonrs.FiniteField, "trace", _refuse)
+    n = "2" if field == "3^13" else "3"
+    assert main(["charsum", "--field", field, "--n", n, "--a", "1", "--which", which,
+                 *chars]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "enumeration budget" in captured.err
+
+
 def test_suite_budget_skip_covers_only_the_budgets(monkeypatch):
     # a word that fails to be decided is an error, not a budget skip
     def broken(word, budget):

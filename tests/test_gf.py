@@ -281,6 +281,18 @@ def test_quad_char_above_table_cap_builds_no_table():
     assert F._exp is None
 
 
+def test_elements_obeys_the_enumeration_budget():
+    # whole-field passes start from elements(); units() and the primitive
+    # element read no element table, so they stay open past the budget
+    F = FiniteField(2, 21)
+    with pytest.raises(ValueError, match="enumeration budget 1048576"):
+        F.elements()
+    assert F.units() == range(1, F.q)
+    g = F.primitive_element()
+    assert all(F.pow(g, (F.q - 1) // ell) != 1 for ell in (7, 127, 337))  # q-1 = 7^2*127*337
+    assert FiniteField(2, 20).elements() == range(1 << 20)
+
+
 @pytest.mark.parametrize("p, m", [(3, 5), (5, 3), (7, 2)])
 def test_quad_char_euler_matches_log_parity(p, m, monkeypatch):
     tabled = FiniteField(p, m)
