@@ -42,10 +42,11 @@ from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import compress, islice
 from math import sqrt
+from typing import NamedTuple
 
 from .dickson import DicksonSpec, EvaluationSet, preimage_count, values_vector
 from .gf import FiniteField
@@ -75,19 +76,17 @@ TOL_SLACK = 1e-6
 TOL_IDENTITY = 1e-9
 
 
-@dataclass(frozen=True)
-class AdditiveCharacter:
+class AdditiveCharacter(namedtuple("AdditiveCharacter", "field b")):
     """psi_b; the twist b selects one of the q characters of (F_q, +)."""
 
-    field: FiniteField
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.field._check(self.b)
+    def __new__(cls, field: FiniteField, b: int):
+        field._check(b)
+        return super().__new__(cls, field, b)
 
 
-@dataclass(frozen=True)
-class CharSumReport:
+class CharSumReport(NamedTuple):
     """One evaluated sum against its bound; pass iff slack >= -tolerance."""
 
     sum: complex

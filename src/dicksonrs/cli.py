@@ -21,26 +21,17 @@ subset-sum test alone, and the rest run; exit 0 iff no instance failed.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field
 from itertools import product
 from math import comb, factorial, perm
+from typing import NamedTuple
 
+# `charsum` and `sieve` are imported by the handlers and suite runners that
+# call them, so `deephole`, `field`, `value-set` and `preimage` never load them
 from . import __version__
-from .charsum import (
-    SUMS,
-    TOL_IDENTITY,
-    TOL_SLACK,
-    AdditiveCharacter,
-    CellSums,
-    character_sum,
-    characters_by_powers,
-    require_sum,
-)
 from .dickson import (
     DicksonSpec,
     preimage_count,
@@ -56,20 +47,11 @@ from .rscode import (
     RSCodeSpec,
     ReceivedWord,
     _code_table,
+    _dp_guard,
     deg_k1_deep_hole_test,
     error_distance_bf,
     count_Nu,
     monomial_word,
-)
-from .sieve import (
-    DIRECT_MAX_D,
-    C_k_eval,
-    C_k_periodic_bound,
-    cycle_types,
-    main_bound_check,
-    perm_count,
-    region_solve,
-    sieve_identity_F,
 )
 
 SUITE_NAMES = ("valueset", "preimage", "charsum", "sieve", "deephole", "region")
@@ -129,8 +111,7 @@ _SETTINGS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Everything `suite` needs; round-trips losslessly through key=value
     text (keys match the CLI flag names)."""
 
@@ -204,7 +185,7 @@ class ExperimentConfig:
         return cls(**{key.replace("-", "_"): _SETTINGS[key][0](val) for key, val in kv.items()})
 
     def echo(self) -> dict:
-        doc = asdict(self)
+        doc = self._asdict()
         del doc["out"]
         doc["a"] = "all" if self.a is None else self.a
         return doc
@@ -214,8 +195,7 @@ class ExperimentConfig:
 # suite engine
 
 
-@dataclass
-class InstanceResult:
+class InstanceResult(NamedTuple):
     params: dict
     status: str  # pass | fail | skipped
     detail: str = ""
@@ -226,10 +206,9 @@ def _checked(params: dict, ok: bool, detail: str) -> InstanceResult:
     return InstanceResult(params, "pass" if ok else "fail", detail)
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
-    instances: list[InstanceResult] = dc_field(default_factory=list)
+    instances: list[InstanceResult]
     wall_clock: float = 0.0  # console diagnostics only; never serialized
 
     def counts(self) -> dict:
@@ -239,8 +218,7 @@ class SuiteResult:
         return out
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     config: dict
     version: str
     suites: list[SuiteResult]
@@ -309,7 +287,7 @@ def _run_preimage(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
     return out
 
 
-def _charsum_worst(cell: CellSums, tab) -> tuple[float, float, float]:
+def _charsum_worst(cell, tab) -> tuple[float, float, float]:
     """(least slack, identity deviation, weil3 pair gap) of one character on one cell."""
     lemma = cell.lemma(tab)
     row = cell.row(tab)
@@ -325,6 +303,8 @@ def _charsum_worst(cell: CellSums, tab) -> tuple[float, float, float]:
 
 
 def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
+    from .charsum import TOL_IDENTITY, TOL_SLACK, CellSums, characters_by_powers
+
     out, cells = [], []
     for params, spec, D in _cells(cfg, F, out):
         cells.append((len(out), params, CellSums(spec, D)))
@@ -348,6 +328,10 @@ def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
 
 
 def _run_sieve(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
+    from .charsum import TOL_IDENTITY, AdditiveCharacter
+    from .sieve import (DIRECT_MAX_D, C_k_eval, C_k_periodic_bound, cycle_types, perm_count,
+                        sieve_identity_F)
+
     out = []
     # global combinatorial self-checks, once per run
     ok = all(
@@ -449,6 +433,8 @@ def _run_deephole(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
 
 
 def _run_region(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
+    from .sieve import main_bound_check, region_solve
+
     out = []
     seen = set()
     for params, spec, size_d in _cells(cfg, F, out, lambda s: value_set_size_formula(s).size):
@@ -504,6 +490,8 @@ def emit(report: RunReport, fmt: str) -> str:
     if fmt == "json":
         return _dump_json(report.to_json_dict())
     if fmt == "csv":
+        import csv  # deferred: only CSV reports need it
+
         buf = io.StringIO()
         fields = ["suite", "q", "n", "a", "k", "b1", "x0", "check", "status", "detail"]
         writer = csv.DictWriter(buf, fieldnames=fields, restval="", lineterminator="\n")
@@ -522,13 +510,6 @@ def emit(report: RunReport, fmt: str) -> str:
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _charsum_report_dict(rep) -> dict:
-    doc = asdict(rep)
-    doc["sum"] = [rep.sum.real, rep.sum.imag]
-    doc["pass"] = rep.slack >= -TOL_SLACK
-    return doc
 
 
 def _write_output(text: str, out_path: str | None):
@@ -578,11 +559,19 @@ def _cmd_preimage(args, F: FiniteField) -> tuple[dict, bool]:
 
 
 def _charsum_entry(which: str, b: int, result) -> dict:
+    from .charsum import TOL_IDENTITY, TOL_SLACK
+
+    def report_dict(rep) -> dict:
+        doc = rep._asdict()
+        doc["sum"] = [rep.sum.real, rep.sum.imag]
+        doc["pass"] = rep.slack >= -TOL_SLACK
+        return doc
+
     entry = {"b": b, "which": which}
     if which == "weil3":
         r1, r2 = result
-        entry["sum_1"] = _charsum_report_dict(r1)
-        entry["sum_2"] = _charsum_report_dict(r2)
+        entry["sum_1"] = report_dict(r1)
+        entry["sum_2"] = report_dict(r2)
         entry["pair_deviation"] = abs(r1.sum - r2.sum)
         entry["pass"] = (
             r1.slack >= -TOL_SLACK
@@ -594,11 +583,13 @@ def _charsum_entry(which: str, b: int, result) -> dict:
         entry["tolerance"] = TOL_IDENTITY
         entry["pass"] = result <= TOL_IDENTITY
     else:
-        entry.update(_charsum_report_dict(result))
+        entry.update(report_dict(result))
     return entry
 
 
 def _cmd_charsum(args, F: FiniteField) -> tuple[dict, bool]:
+    from .charsum import SUMS, CellSums, character_sum, characters_by_powers, require_sum
+
     spec = DicksonSpec(F, args.n, args.a)
     cell = CellSums(spec, value_set(spec) if args.which in ("lemma", "identity") else None)
     if args.all_characters:
@@ -614,8 +605,6 @@ def _cmd_charsum(args, F: FiniteField) -> tuple[dict, bool]:
 
 
 def _cmd_deephole(args, F: FiniteField) -> tuple[dict, bool]:
-    D = value_set(DicksonSpec(F, args.n, args.a))
-    code = RSCodeSpec.from_evaluation_set(D, args.k)
     if args.word is not None:
         values = json.loads(args.word)
         if not isinstance(values, list) or any(type(v) is not int for v in values):
@@ -625,6 +614,17 @@ def _cmd_deephole(args, F: FiniteField) -> tuple[dict, bool]:
         make_word, sources = ReceivedWord.from_poly, [parse_poly_literal(F, args.word_poly)]
     else:
         make_word, sources = monomial_word, (F.elements() if args.all_b1 else [args.b1])
+    spec = DicksonSpec(F, args.n, args.a)
+    # |D| alone decides the next two checks; the size formula gives it
+    # without enumerating D wherever it applies (n >= 2, a != 0)
+    D = None if args.n >= 2 and args.a else value_set(spec)
+    size = value_set_size_formula(spec).size if D is None else D.size
+    if args.k + 2 > size:
+        raise ValueError(f"no degree-(k+1) words (k+1 > |D|-1): k = {args.k}, |D| = {size}")
+    _dp_guard(size, args.k + 1, F.q, args.budget_dp)
+    if D is None:
+        D = value_set(spec)
+    code = RSCodeSpec.from_evaluation_set(D, args.k)
     _, reports = _deep_holes(code, make_word, sources, args.budget_dp,
                              args.budget_subsets if args.brute_force_crosscheck else None)
     doc = {
@@ -646,11 +646,15 @@ def _size_d(args, F: FiniteField) -> int:
 
 
 def _cmd_bound(args, F: FiniteField) -> tuple[dict, bool]:
-    return asdict(main_bound_check(F.q, args.n, _size_d(args, F), args.k)), True
+    from .sieve import main_bound_check
+
+    return main_bound_check(F.q, args.n, _size_d(args, F), args.k)._asdict(), True
 
 
 def _cmd_region(args, F: FiniteField) -> tuple[dict, bool]:
-    return asdict(region_solve(F.q, args.n, _size_d(args, F), args.c1)), True
+    from .sieve import region_solve
+
+    return region_solve(F.q, args.n, _size_d(args, F), args.c1)._asdict(), True
 
 
 def _cmd_suite(args) -> int:

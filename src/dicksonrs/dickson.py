@@ -24,11 +24,10 @@ even n and is what exhaustive verification confirms for odd n.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .gf import FiniteField, two_adic
 
@@ -45,26 +44,23 @@ __all__ = [
     "values_vector",
 ]
 
-@dataclass(frozen=True)
-class DicksonSpec:
-    """Parameters (field, n, a) of one Dickson polynomial."""
+class DicksonSpec(namedtuple("DicksonSpec", "field n a")):
+    """Parameters (field, n, a) of one Dickson polynomial, checked."""
 
-    field: FiniteField
-    n: int
-    a: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"degree n = {self.n} must be >= 1")
-        self.field._check(self.a)
+    def __new__(cls, field: FiniteField, n: int, a: int):
+        if n < 1:
+            raise ValueError(f"degree n = {n} must be >= 1")
+        field._check(a)
+        return super().__new__(cls, field, n, a)
 
     def _require_formula_domain(self):
         if self.a == 0 or self.n < 2:
             raise ValueError("counting formulas require n >= 2 and a != 0")
 
 
-@dataclass(frozen=True)
-class EvaluationSet:
+class EvaluationSet(NamedTuple):
     """The attained values {D_n(x,a) : x in F_q}, sorted by encoding."""
 
     spec: DicksonSpec
@@ -79,16 +75,14 @@ class EvaluationSet:
         return self.spec.field
 
 
-@dataclass(frozen=True)
-class PreimageReport:
+class PreimageReport(NamedTuple):
     x0: int
     value: int
     count: int
     case_label: str
 
 
-@dataclass(frozen=True)
-class ValueSetReport:
+class ValueSetReport(NamedTuple):
     size: int
     delta: Fraction
     terms: tuple[Fraction, Fraction]
@@ -137,6 +131,8 @@ def value_set_size_formula(spec: DicksonSpec) -> ValueSetReport:
     delta = 1/2 if q odd and 2^t || n with 1 <= t <= r-2,
     delta = 0   otherwise,  where 2^r || q^2 - 1.
     """
+    from fractions import Fraction  # deferred: only this formula needs it
+
     spec._require_formula_domain()
     F, n, a = spec.field, spec.n, spec.a
     q = F.q

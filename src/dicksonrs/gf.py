@@ -32,9 +32,9 @@ form, Tr(x) = sum c_i Tr(t^i) over x's digits, tabulated under the cap, and
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 __all__ = [
     "FiniteField",
@@ -174,8 +174,7 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise ArithmeticError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
-@dataclass(frozen=True)
-class TwoAdicData:
+class TwoAdicData(NamedTuple):
     """Exact 2-adic valuations: 2^r || q^2-1 and 2^t || n."""
 
     r: int

@@ -33,10 +33,10 @@ b1 from it.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from math import comb, factorial
+from typing import NamedTuple
 
 from .dickson import EvaluationSet
 from .gf import FiniteField
@@ -62,21 +62,18 @@ DEFAULT_SUBSET_BUDGET = 10**7
 DEFAULT_DP_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class RSCodeSpec:
-    """Code determined by (field, evaluation points, message length k)."""
+class RSCodeSpec(namedtuple("RSCodeSpec", "field points k")):
+    """Code determined by (field, evaluation points, message length k),
+    checked; its instance dict holds the cached tables."""
 
-    field: FiniteField
-    points: tuple[int, ...]
-    k: int
-
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+    def __new__(cls, field: FiniteField, points: tuple[int, ...], k: int):
+        if len(set(points)) != len(points):
             raise ValueError("evaluation points must be distinct")
-        for x in self.points:
-            self.field._check(x)
-        if not 1 <= self.k < len(self.points):
-            raise ValueError(f"need 1 <= k < |D|, got k={self.k}, |D|={len(self.points)}")
+        for x in points:
+            field._check(x)
+        if not 1 <= k < len(points):
+            raise ValueError(f"need 1 <= k < |D|, got k={k}, |D|={len(points)}")
+        return super().__new__(cls, field, points, k)
 
     @classmethod
     def from_evaluation_set(cls, evalset: EvaluationSet, k: int) -> "RSCodeSpec":
@@ -138,15 +135,13 @@ class ReceivedWord:
         return f"ReceivedWord(k={self.code.k}, values={list(self.values)})"
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     distance: int
     witness: Polynomial  # codeword polynomial achieving the distance
     is_deep_hole: bool
 
 
-@dataclass(frozen=True)
-class DeepHoleResult:
+class DeepHoleResult(NamedTuple):
     b1: int
     is_deep_hole: bool
     subset: tuple[int, ...] | None = None  # the k+1 roots, when not a deep hole

@@ -26,10 +26,10 @@ silently deciding them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import ceil, factorial, log2, sqrt
+from typing import NamedTuple
 
 from .charsum import AdditiveCharacter, _psi_table
 
@@ -177,8 +177,7 @@ def sieve_identity_F(evalset, psi: AdditiveCharacter, k: int) -> tuple[complex, 
     return complex(direct), complex(C_k_eval(signed_sums))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of the lhs > rhs falling-factorial comparison."""
 
     q: int
@@ -248,8 +247,7 @@ def main_bound_check(q: int, n: int, size_d: int, k: int) -> BoundReport:
         )
 
 
-@dataclass(frozen=True)
-class RegionSpec:
+class RegionSpec(NamedTuple):
     """Feasible message-length window [k_min, k_max] for given constants."""
 
     q: int

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dicksonrs
 from dicksonrs import FiniteField
 
 # the acceptance grid: every supported small field
@@ -31,3 +37,19 @@ def grid_fields():
 @pytest.fixture(scope="session")
 def f2_16():
     return FiniteField(2, 16)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run Python code in a fresh interpreter that imports this package;
+    return its stripped stdout.  Other tests load modules the code may ask
+    about, so the answer must come from a new process."""
+    src = str(Path(dicksonrs.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run(code: str) -> str:
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    return run

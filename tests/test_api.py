@@ -1,4 +1,5 @@
-"""The package's public API is the union of its library modules' `__all__`."""
+"""The package's public API is the union of its library modules' `__all__`;
+`charsum` and `sieve` load on first use."""
 
 import importlib
 
@@ -12,3 +13,31 @@ def test_every_public_name_is_importable_from_the_package(module):
     mod = importlib.import_module(f"dicksonrs.{module}")
     missing = [name for name in mod.__all__ if getattr(dicksonrs, name, None) is not getattr(mod, name)]
     assert missing == []
+
+
+def test_lazy_module_loads_on_attribute_access(fresh_python):
+    code = "import dicksonrs; print(sorted(dicksonrs.charsum.SUMS))"
+    assert fresh_python(code) == "['identity', 'lemma', 'weil1', 'weil2', 'weil3']"
+
+
+def test_star_import_binds_exactly_the_public_api(fresh_python):
+    code = """
+import importlib
+ns = {}
+exec("from dicksonrs import *", ns)
+mods = ["gf", "polyring", "dickson", "charsum", "sieve", "rscode"]
+want = {name for m in mods for name in importlib.import_module(f"dicksonrs.{m}").__all__}
+print(set(ns) - {"__builtins__"} == want)
+"""
+    assert fresh_python(code) == "True"
+
+
+def test_unknown_name_raises_attribute_error(fresh_python):
+    code = """
+import dicksonrs
+try:
+    dicksonrs.no_such_name
+except AttributeError as e:
+    print(e)
+"""
+    assert fresh_python(code) == "module 'dicksonrs' has no attribute 'no_such_name'"

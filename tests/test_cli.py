@@ -1,20 +1,16 @@
 """CLI behaviour: every documented example runs, reports are deterministic
 and schema-valid, configs round-trip."""
 
-import dataclasses
 import json
-import os
 import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import dicksonrs
-from dicksonrs import charsum, cli
+from dicksonrs import charsum, cli, sieve
 from dicksonrs.cli import ExperimentConfig, emit, main, run_suite
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -146,7 +142,7 @@ def test_out_file_holds_the_stdout_bytes(command, tmp_path, capsys):
 def test_failing_value_set_report_is_written(monkeypatch, tmp_path, capsys):
     real = cli.value_set_size_formula
     monkeypatch.setattr(cli, "value_set_size_formula",
-                        lambda spec: dataclasses.replace(real(spec), size=real(spec).size + 1))
+                        lambda spec: real(spec)._replace(size=real(spec).size + 1))
     argv = ["value-set", "--field", "7", "--n", "2", "--a", "1"]
     stdout, status = _report_and_status(argv, tmp_path, capsys)
     assert status == 1
@@ -157,8 +153,8 @@ def test_failing_value_set_report_is_written(monkeypatch, tmp_path, capsys):
 def test_failing_deephole_crosscheck_report_is_written(monkeypatch, tmp_path, capsys):
     # b1 = 1 is no deep hole (distance |D|-k-1 = 2); one more disagrees
     real = cli.error_distance_bf
-    monkeypatch.setattr(cli, "error_distance_bf", lambda word, budget: dataclasses.replace(
-        real(word, budget), distance=real(word, budget).distance + 1))
+    monkeypatch.setattr(cli, "error_distance_bf", lambda word, budget: real(
+        word, budget)._replace(distance=real(word, budget).distance + 1))
     argv = ["deephole", "--field", "7", "--n", "2", "--a", "1", "--k", "1", "--b1", "1",
             "--brute-force-crosscheck"]
     stdout, status = _report_and_status(argv, tmp_path, capsys)
@@ -215,7 +211,7 @@ def test_config_roundtrip():
     again = ExperimentConfig.from_text(cfg.to_text())
     assert again == cfg
     # 'all' sentinel survives too
-    cfg.a = None
+    cfg = cfg._replace(a=None)
     assert ExperimentConfig.from_text(cfg.to_text()) == cfg
 
 
@@ -276,7 +272,7 @@ def test_suite_failure_is_reported(monkeypatch, capsys):
     # a formula one too large fails the valueset check in every serializer
     real = cli.value_set_size_formula
     monkeypatch.setattr(cli, "value_set_size_formula",
-                        lambda spec: dataclasses.replace(real(spec), size=real(spec).size + 1))
+                        lambda spec: real(spec)._replace(size=real(spec).size + 1))
     argv = ["suite", "--field", "7", "--suites", "valueset", "--n", "2", "--a", "1"]
     assert main(argv) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -401,15 +397,14 @@ def test_value_set_formula_rejects_elems(capsys):
     assert captured.out == ""
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    # a fresh interpreter: other tests load mpmath through the bound check
-    src = str(Path(dicksonrs.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, dicksonrs.cli; print('mpmath' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+@pytest.mark.parametrize("module", ["mpmath", "dataclasses", "dicksonrs.charsum",
+                                    "dicksonrs.sieve"])
+def test_cli_import_leaves_module_unloaded(module, fresh_python):
+    # each loads only in the handlers that use it: mpmath in the bound
+    # check, charsum and sieve in their subcommands and suites
+    code = ("import sys; before = set(sys.modules); import dicksonrs.cli; "
+            f"print({module!r} in set(sys.modules) - before)")
+    assert fresh_python(code) == "False"
 
 
 def test_enumerating_suites_leave_the_values_vector_cache_empty():
@@ -469,6 +464,32 @@ def test_over_budget_all_b1_fails_before_building_words(capsys):
     assert captured.out == "" and "DP size" in captured.err
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the budgets must refuse the work before this runs")
+
+
+def test_over_budget_deephole_fails_before_enumerating(monkeypatch, capsys):
+    # the DP budget needs only |D|, which the size formula gives without
+    # enumerating the 65,536 points of 2^16
+    monkeypatch.setattr(cli, "value_set", _refuse)
+    assert main(["deephole", "--field", "2^16", "--n", "3", "--a", "1", "--k", "3",
+                 "--all-b1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DP size" in captured.err
+
+
+@pytest.mark.parametrize("a", ["1", "0"])  # |D| = 4 from the formula, and from enumeration
+@pytest.mark.parametrize("source", [["--b1", "1"], ["--all-b1"], ["--word", "[0,1,2,3]"],
+                                    ["--word-poly", "0,1"]], ids=lambda s: s[0])
+def test_deephole_without_degree_k1_words_exits_2(source, a, capsys):
+    # k + 2 > |D| leaves no word of interpolant degree k+1 to test
+    argv = ["deephole", "--field", "7", "--n", "2", "--a", a, "--k", "3", *source]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no degree-(k+1) words (k+1 > |D|-1): k = 3, |D| = 4" in captured.err
+
+
 def test_over_budget_all_b1_builds_no_word(monkeypatch, capsys):
     # both budgets are checked once per code, before the first word is built
     built = []
@@ -479,10 +500,6 @@ def test_over_budget_all_b1_builds_no_word(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "DP size" in captured.err
     assert built == []
-
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("the budgets must refuse the word before this runs")
 
 
 @pytest.mark.parametrize("source", ["word", "word-poly"])
@@ -562,9 +579,9 @@ def test_budget_subsets_bounds_every_crosschecked_word(capsys):
 def test_region_suite_fails_a_window_the_bound_chain_does_not_guarantee(monkeypatch):
     # the real 2^16 window stretched to k_max = |D| - 2, where the
     # falling-factorial chain gives no guarantee
-    real = cli.region_solve
-    monkeypatch.setattr(cli, "region_solve", lambda q, n, size_d, c1: dataclasses.replace(
-        real(q, n, size_d, c1), k_max=size_d - 2))
+    real = sieve.region_solve
+    monkeypatch.setattr(sieve, "region_solve", lambda q, n, size_d, c1: real(
+        q, n, size_d, c1)._replace(k_max=size_d - 2))
     cfg = ExperimentConfig(field="2^16", suites=("region",), n=(3,), a=(1,), c1=0.015)
     (inst,) = run_suite(cfg).suites[0].instances
     assert inst.status == "fail" and "k_max=43689" in inst.detail
