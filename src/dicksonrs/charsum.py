@@ -80,6 +80,7 @@ class AdditiveCharacter(namedtuple("AdditiveCharacter", "field b")):
     """psi_b; the twist b selects one of the q characters of (F_q, +)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
     def __new__(cls, field: FiniteField, b: int):
         field._check(b)

@@ -12,10 +12,10 @@ status: 0 if the report's checks pass, 1 if not, 2 on an error, which
 writes nothing.  `suite` writes its own report in its `--format`.
 
 Each budget is checked before the work it bounds: `deephole` and its suite
-check both of a code's budgets before building a word.  In `suite` budgets
-fail soft: an instance over its enumeration or DP cap is recorded as
-"skipped: budget ...", one over its subset-scan cap is decided by the
-subset-sum test alone, and the rest run; exit 0 iff no instance failed.
+check every rule of an instance on |D| in one runner, before enumerating D.
+In `suite` budgets fail soft: an instance over its enumeration or DP cap is
+recorded as "skipped: budget ...", one over its subset-scan cap is decided
+by the subset-sum test alone, and the rest run; exit 0 iff no instance failed.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .rscode import (
     DEFAULT_SUBSET_BUDGET,
     RSCodeSpec,
     ReceivedWord,
-    _code_table,
     _dp_guard,
     deg_k1_deep_hole_test,
     error_distance_bf,
@@ -55,6 +54,7 @@ from .rscode import (
 )
 
 SUITE_NAMES = ("valueset", "preimage", "charsum", "sieve", "deephole", "region")
+_NO_WORDS = "no degree-(k+1) words (k+1 > |D|-1)"
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ class RunReport(NamedTuple):
         }
 
 
-def _cells(cfg: ExperimentConfig, F: FiniteField, out: list, enumerate_=value_set):
+def _cells(cfg: ExperimentConfig, F: FiniteField, out: list, enumerate_):
     """Yield (params, spec, enumerate_(spec)) for each (n, a) cell of the grid;
     a cell whose enumeration exceeds its budget is recorded in `out` as skipped."""
     for n, a in product(cfg.n, cfg.a_values(F)):
@@ -259,6 +259,11 @@ def _cells(cfg: ExperimentConfig, F: FiniteField, out: list, enumerate_=value_se
             out.append(InstanceResult(params, "skipped", f"skipped: budget ({e})"))
             continue
         yield params, spec, values
+
+
+def _size(spec: DicksonSpec) -> int:
+    """|D| by the value-set size formula, which reads no element of F_q."""
+    return value_set_size_formula(spec).size
 
 
 def _run_valueset(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
@@ -306,7 +311,7 @@ def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     from .charsum import TOL_IDENTITY, TOL_SLACK, CellSums, characters_by_powers
 
     out, cells = [], []
-    for params, spec, D in _cells(cfg, F, out):
+    for params, spec, D in _cells(cfg, F, out, value_set):
         cells.append((len(out), params, CellSums(spec, D)))
         out.append(None)  # filled in once every character has run on every cell
     # one walk over the characters serves every cell
@@ -332,6 +337,11 @@ def _run_sieve(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     from .sieve import (DIRECT_MAX_D, C_k_eval, C_k_periodic_bound, cycle_types, perm_count,
                         sieve_identity_F)
 
+    def direct_set(spec: DicksonSpec):
+        if _size(spec) > DIRECT_MAX_D:  # decided before D is enumerated
+            raise ValueError(f"|D| > {DIRECT_MAX_D}")
+        return value_set(spec)
+
     out = []
     # global combinatorial self-checks, once per run
     ok = all(
@@ -344,12 +354,7 @@ def _run_sieve(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
         ok = ok and closed <= bound * (1 + 1e-12)
     out.append(_checked({"q": F.q, "check": "global"}, ok,
                         "cycle counts, rising factorial, periodic bound"))
-    for params, spec, D in _cells(cfg, F, out):
-        if D.size > DIRECT_MAX_D:
-            out.append(
-                InstanceResult(params, "skipped", f"skipped: budget (|D| > {DIRECT_MAX_D})")
-            )
-            continue
+    for params, spec, D in _cells(cfg, F, out, direct_set):
         psi = AdditiveCharacter(F, 1)
         worst = 0.0
         for k in range(1, min(4, D.size + 1)):
@@ -359,31 +364,48 @@ def _run_sieve(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     return out
 
 
-def _deep_holes(code: RSCodeSpec, make_word, sources, budget_dp: int,
-                budget_subsets: int | None, fall_back: bool = False):
-    """Check both budgets of the words make_word(code, s), s in `sources`,
-    before building any; return whether they are crosschecked and their lazy
-    reports.  Crosschecks cost C(|D|, k) pencil parameters a word; over
-    `budget_subsets` (None: none) they raise, or are dropped if `fall_back`."""
-    radius = code.length - code.k
-    cost = comb(code.length, code.k) * len(sources)
+def _refused(message: str, skip: str) -> ValueError:
+    """The error of a rule an instance breaks; `skip` is the suite's record of it."""
+    err = ValueError(message)
+    err.skip = skip
+    return err
+
+
+def _deep_holes(spec: DicksonSpec, k: int, budget_dp: int, budget_subsets: int | None,
+                make_word=monomial_word, sources=None, fall_back: bool = False,
+                size: int | None = None):
+    """Check the rules of the deep-hole instance (spec, k) on |D| (`size`, or
+    else the size formula where it applies, n >= 2 and a != 0) in this order:
+    k + 2 <= |D|, the DP budget, the subset budget; only then enumerate D.
+    Return the code, whether its words make_word(code, s), s in `sources`
+    (None: every b1 in F_q), are crosschecked, and their lazy reports.  A
+    crosscheck costs C(|D|, k) pencil parameters a word; over `budget_subsets`
+    (None: none) they raise, or are dropped if `fall_back`."""
+    D = None if size is not None or spec.n >= 2 and spec.a else value_set(spec)
+    if size is None:
+        size = _size(spec) if D is None else D.size
+    if k + 2 > size:
+        raise _refused(f"{_NO_WORDS}: k = {k}, |D| = {size}", _NO_WORDS)
+    try:
+        _dp_guard(size, k + 1, spec.field.q, budget_dp)
+    except ValueError as e:
+        raise _refused(str(e), "budget (DP)") from None
+    sources = spec.field.elements() if sources is None else sources
+    cost = comb(size, k) * len(sources)
     crosscheck = budget_subsets is not None and cost <= budget_subsets
     if budget_subsets is not None and not crosscheck and not fall_back:
         raise ValueError(f"crosschecking {len(sources)} word(s) takes {cost} pencil parameters, "
                          f"over the subset budget {budget_subsets}")
-    _code_table(code, budget_dp)
+    code = RSCodeSpec.from_evaluation_set(value_set(spec) if D is None else D, k)
+    radius = size - k
 
     def reports():
         for word in (make_word(code, s) for s in sources):
             res = deg_k1_deep_hole_test(word, budget_dp)
-            entry = {
-                "k": code.k,
-                "b1": res.b1,
-                "is_deep_hole": res.is_deep_hole,
-                "subset": list(res.subset) if res.subset else None,
-                "codeword": res.codeword.literal() if res.codeword else None,
-                "n_u": count_Nu(code, res.b1, budget_dp),
-            }
+            entry = {"k": k, "b1": res.b1, "is_deep_hole": res.is_deep_hole,
+                     "subset": list(res.subset) if res.subset else None,
+                     "codeword": res.codeword.literal() if res.codeword else None,
+                     "n_u": count_Nu(code, res.b1, budget_dp)}
             # a degree-(k+1) word sits at distance |D|-k (deep hole) or |D|-k-1
             if res.is_deep_hole:
                 entry["distance"] = radius
@@ -394,40 +416,33 @@ def _deep_holes(code: RSCodeSpec, make_word, sources, budget_dp: int,
                 entry["crosscheck_agree"] = (dist < radius) == (not res.is_deep_hole)
             yield entry
 
-    return crosscheck, reports()
+    return code, crosscheck, reports()
 
 
 def _run_deephole(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out = []
-    for cell, spec, D in _cells(cfg, F, out):
+    for cell, spec, size in _cells(cfg, F, out, _size):
         for k in cfg.k:
             params = dict(cell, k=k)
-            if k + 2 > D.size:
-                out.append(InstanceResult(params, "skipped",
-                                          "skipped: no degree-(k+1) words (k+1 > |D|-1)"))
-                continue
-            code = RSCodeSpec.from_evaluation_set(D, k)
             try:
-                crosscheck, reports = _deep_holes(code, monomial_word, F.elements(),
-                                                  cfg.budget_dp, cfg.budget_subsets,
-                                                  fall_back=True)
-            except ValueError:
-                out.append(InstanceResult(params, "skipped", "skipped: budget (DP)"))
+                _, crosscheck, reports = _deep_holes(spec, k, cfg.budget_dp, cfg.budget_subsets,
+                                                     fall_back=True, size=size)
+            except ValueError as e:
+                skip = getattr(e, "skip", f"budget ({e})")
+                out.append(InstanceResult(params, "skipped", f"skipped: {skip}"))
                 continue
-            bad = None
-            total_nu = 0
+            bad, total_nu = None, 0
             for entry in reports:
                 total_nu += entry["n_u"]
                 if not entry.get("crosscheck_agree", True):
                     bad = (f"b1={entry['b1']}: distance {entry['distance']} "
                            f"vs subset-sum {entry['is_deep_hole']}")
                     break
-            fall = perm(D.size, k + 1)
+            fall = perm(size, k + 1)
             if bad is None and total_nu != fall:
                 bad = f"sum N_u = {total_nu} != (|D|)_{{k+1}} = {fall}"
-            detail = bad or (
-                f"all {F.q} b1 values agree" + ("" if crosscheck else " (subset-sum only)")
-            )
+            only = "" if crosscheck else " (subset-sum only)"
+            detail = bad or f"all {F.q} b1 values agree{only}"
             out.append(_checked(params, bad is None, detail))
     return out
 
@@ -437,7 +452,7 @@ def _run_region(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
 
     out = []
     seen = set()
-    for params, spec, size_d in _cells(cfg, F, out, lambda s: value_set_size_formula(s).size):
+    for params, spec, size_d in _cells(cfg, F, out, _size):
         key = (spec.n, size_d)
         if key in seen:
             continue
@@ -613,36 +628,18 @@ def _cmd_deephole(args, F: FiniteField) -> tuple[dict, bool]:
     elif args.word_poly is not None:
         make_word, sources = ReceivedWord.from_poly, [parse_poly_literal(F, args.word_poly)]
     else:
-        make_word, sources = monomial_word, (F.elements() if args.all_b1 else [args.b1])
-    spec = DicksonSpec(F, args.n, args.a)
-    # |D| alone decides the next two checks; the size formula gives it
-    # without enumerating D wherever it applies (n >= 2, a != 0)
-    D = None if args.n >= 2 and args.a else value_set(spec)
-    size = value_set_size_formula(spec).size if D is None else D.size
-    if args.k + 2 > size:
-        raise ValueError(f"no degree-(k+1) words (k+1 > |D|-1): k = {args.k}, |D| = {size}")
-    _dp_guard(size, args.k + 1, F.q, args.budget_dp)
-    if D is None:
-        D = value_set(spec)
-    code = RSCodeSpec.from_evaluation_set(D, args.k)
-    _, reports = _deep_holes(code, make_word, sources, args.budget_dp,
-                             args.budget_subsets if args.brute_force_crosscheck else None)
-    doc = {
-        "q": F.q,
-        "n": args.n,
-        "a": args.a,
-        "size_d": D.size,
-        "covering_radius": D.size - args.k,
-        "reports": list(reports),
-    }
+        make_word, sources = monomial_word, (None if args.all_b1 else [args.b1])
+    code, _, reports = _deep_holes(DicksonSpec(F, args.n, args.a), args.k, args.budget_dp,
+                                   args.budget_subsets if args.brute_force_crosscheck else None,
+                                   make_word, sources)
+    doc = {"q": F.q, "n": args.n, "a": args.a, "size_d": code.length,
+           "covering_radius": code.length - code.k, "reports": list(reports)}
     return doc, all(r.get("crosscheck_agree", True) for r in doc["reports"])
 
 
 def _size_d(args, F: FiniteField) -> int:
     """--size-d, or else the value-set size formula for D_n(x, a)."""
-    if args.size_d is not None:
-        return args.size_d
-    return value_set_size_formula(DicksonSpec(F, args.n, args.a)).size
+    return _size(DicksonSpec(F, args.n, args.a)) if args.size_d is None else args.size_d
 
 
 def _cmd_bound(args, F: FiniteField) -> tuple[dict, bool]:

@@ -48,6 +48,7 @@ class DicksonSpec(namedtuple("DicksonSpec", "field n a")):
     """Parameters (field, n, a) of one Dickson polynomial, checked."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
     def __new__(cls, field: FiniteField, n: int, a: int):
         if n < 1:

@@ -65,6 +65,7 @@ DEFAULT_DP_BUDGET = 10**7
 class RSCodeSpec(namedtuple("RSCodeSpec", "field points k")):
     """Code determined by (field, evaluation points, message length k),
     checked; its instance dict holds the cached tables."""
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
     def __new__(cls, field: FiniteField, points: tuple[int, ...], k: int):
         if len(set(points)) != len(points):

@@ -41,3 +41,20 @@ except AttributeError as e:
     print(e)
 """
     assert fresh_python(code) == "module 'dicksonrs' has no attribute 'no_such_name'"
+
+
+def test_checked_specs_check_every_copy():
+    # namedtuple's `_replace` builds through `_make`; both must reach the
+    # constructor's checks, as a spec built directly does
+    F = dicksonrs.FiniteField(7)
+    specs = [dicksonrs.DicksonSpec(F, 2, 1), dicksonrs.RSCodeSpec(F, (0, 1, 2), 1),
+             dicksonrs.AdditiveCharacter(F, 1)]
+    # each out-of-range value replaces the spec's last field
+    for spec, (field, bad) in zip(specs, [("a", 99), ("k", 3), ("b", 7)]):
+        assert type(spec)._make(tuple(spec)) == spec == spec._replace()
+        with pytest.raises(ValueError):
+            spec._replace(**{field: bad})
+        with pytest.raises(ValueError):
+            type(spec)._make((*spec[:-1], bad))
+    with pytest.raises(ValueError, match="n = 0"):
+        dicksonrs.DicksonSpec._make((F, 0, 1))

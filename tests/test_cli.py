@@ -4,6 +4,7 @@ and schema-valid, configs round-trip."""
 import json
 import re
 import shlex
+from math import perm
 from pathlib import Path
 
 import jsonschema
@@ -585,3 +586,56 @@ def test_region_suite_fails_a_window_the_bound_chain_does_not_guarantee(monkeypa
     cfg = ExperimentConfig(field="2^16", suites=("region",), n=(3,), a=(1,), c1=0.015)
     (inst,) = run_suite(cfg).suites[0].instances
     assert inst.status == "fail" and "k_max=43689" in inst.detail
+
+
+def test_skipped_suite_cells_never_enumerate(monkeypatch):
+    # every rule that skips a deephole or sieve cell needs only |D|, which the
+    # size formula gives without reading an element of 2^16
+    monkeypatch.setattr(cli, "value_set", _refuse)
+    monkeypatch.setattr(dicksonrs.FiniteField, "elements", _refuse)
+    cfg = ExperimentConfig(field="2^16", suites=("deephole", "sieve"), n=(3,), a=(1, 2),
+                           k=(1, 2, 3))
+    deephole, sieve_ = run_suite(cfg).suites
+    assert [i.detail for i in deephole.instances] == ["skipped: budget (DP)"] * 6
+    glob, *cells = sieve_.instances
+    assert glob.params == {"q": 2**16, "check": "global"} and glob.status == "pass"
+    assert [i.detail for i in cells] == ["skipped: budget (|D| > 12)"] * 2
+
+
+def test_deephole_exits_2_exactly_where_the_suite_skips(capsys):
+    # one runner decides both entry points; on this grid k + 2 > |D| (n = 2,
+    # k = 3) and the DP budget (|D|*(k+1)*7 > 100) each refuse some instances
+    grid = ["--field", "7", "--n", "2..3", "--a", "all", "--k", "1..3", "--budget-dp", "100"]
+    assert main(["suite", "--suites", "deephole", "--format", "csv", *grid]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 36 and "pass" in {row[-2] for row in rows}
+    assert {row[-1] for row in rows if row[-2] == "skipped"} == {
+        "skipped: no degree-(k+1) words (k+1 > |D|-1)", "skipped: budget (DP)"}
+    for _, _, n, a, k, *_, status, _ in rows:
+        code = main(["deephole", "--field", "7", "--n", n, "--a", a, "--k", k, "--all-b1",
+                     "--budget-dp", "100"])
+        out = capsys.readouterr().out
+        assert (code == 2) == (status == "skipped")
+        if code != 2:
+            doc = json.loads(out)
+            assert sum(e["n_u"] for e in doc["reports"]) == perm(doc["size_d"], int(k) + 1)
+
+
+@pytest.mark.parametrize("budget_dp, deephole_detail", [
+    (None, "skipped: budget (DP)"),
+    (10**15, "skipped: budget (q = 2097152 exceeds the enumeration budget 1048576)"),
+])
+def test_suite_cells_past_the_enumeration_budget_are_skips(budget_dp, deephole_detail,
+                                                           monkeypatch, capsys):
+    # the |D| rules come first; F.elements() is the one whole-field enumerator
+    monkeypatch.setattr(cli, "value_set", _refuse)
+    argv = ["suite", "--field", "2^21", "--suites", "deephole,sieve", "--n", "3", "--a", "1",
+            "--k", "1", "--format", "csv"]
+    if budget_dp is not None:
+        argv += ["--budget-dp", str(budget_dp)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"deephole,2097152,3,1,1,,,,skipped,{deephole_detail}",
+        "sieve,2097152,,,,,,global,pass,\"cycle counts, rising factorial, periodic bound\"",
+        "sieve,2097152,3,1,,,,,skipped,skipped: budget (|D| > 12)",
+    ]
