@@ -102,8 +102,8 @@ _SETTINGS = {
         "range as for --n, or 'all'",
     ),
     "k": (lambda text: _parse_range(text, "k"), _format_range, "range as for --n"),
-    "c1": (float, repr, "region gate constant c1 (default 0.015)"),
-    "format": (str, str, "report format: json or csv (default json)"),
+    "c1": (float, repr, "region gate constant c1 (default {c1})"),
+    "format": (str, str, "report format: json or csv (default {format})"),
     "budget-subsets": (
         int, str, f"cap on brute-force subset scans (default {DEFAULT_SUBSET_BUDGET})"),
     "budget-dp": (int, str, f"cap on subset-sum DP size |D|*r*q (default {DEFAULT_DP_BUDGET})"),
@@ -372,18 +372,15 @@ def _refused(message: str, skip: str) -> ValueError:
 
 
 def _deep_holes(spec: DicksonSpec, k: int, budget_dp: int, budget_subsets: int | None,
-                make_word=monomial_word, sources=None, fall_back: bool = False,
-                size: int | None = None):
-    """Check the rules of the deep-hole instance (spec, k) on |D| (`size`, or
-    else the size formula where it applies, n >= 2 and a != 0) in this order:
-    k + 2 <= |D|, the DP budget, the subset budget; only then enumerate D.
+                make_word=monomial_word, sources=None, fall_back: bool = False):
+    """Check the rules of the deep-hole instance (spec, k) on |D| (the size
+    formula where it applies, n >= 2 and a != 0, else D enumerated first) in
+    this order: k + 2 <= |D|, the DP budget, the subset budget; then read D.
     Return the code, whether its words make_word(code, s), s in `sources`
     (None: every b1 in F_q), are crosschecked, and their lazy reports.  A
     crosscheck costs C(|D|, k) pencil parameters a word; over `budget_subsets`
     (None: none) they raise, or are dropped if `fall_back`."""
-    D = None if size is not None or spec.n >= 2 and spec.a else value_set(spec)
-    if size is None:
-        size = _size(spec) if D is None else D.size
+    size = _size(spec) if spec.n >= 2 and spec.a else value_set(spec).size
     if k + 2 > size:
         raise _refused(f"{_NO_WORDS}: k = {k}, |D| = {size}", _NO_WORDS)
     try:
@@ -396,7 +393,7 @@ def _deep_holes(spec: DicksonSpec, k: int, budget_dp: int, budget_subsets: int |
     if budget_subsets is not None and not crosscheck and not fall_back:
         raise ValueError(f"crosschecking {len(sources)} word(s) takes {cost} pencil parameters, "
                          f"over the subset budget {budget_subsets}")
-    code = RSCodeSpec.from_evaluation_set(value_set(spec) if D is None else D, k)
+    code = RSCodeSpec.from_evaluation_set(value_set(spec), k)
     radius = size - k
 
     def reports():
@@ -426,7 +423,7 @@ def _run_deephole(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
             params = dict(cell, k=k)
             try:
                 _, crosscheck, reports = _deep_holes(spec, k, cfg.budget_dp, cfg.budget_subsets,
-                                                     fall_back=True, size=size)
+                                                     fall_back=True)
             except ValueError as e:
                 skip = getattr(e, "skip", f"budget ({e})")
                 out.append(InstanceResult(params, "skipped", f"skipped: {skip}"))
@@ -759,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("suite", help="run verification suites over a grid")
     sp.add_argument("--config", help="key=value config file; flags override its values")
     for key, (_, _, help_) in _SETTINGS.items():
-        sp.add_argument(f"--{key}", help=help_)
+        sp.add_argument(f"--{key}", help=help_.format_map(ExperimentConfig._field_defaults))
 
     return ap
 

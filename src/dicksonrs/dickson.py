@@ -119,6 +119,7 @@ def value_counts(spec: DicksonSpec) -> dict[int, int]:
     return Counter(_eval_recurrence(spec.field, spec.n, spec.a, spec.field.elements()))
 
 
+@lru_cache(maxsize=1)  # the deephole suite reads one cell's set for each k
 def value_set(spec: DicksonSpec) -> EvaluationSet:
     """Enumerated evaluation set, sorted by encoding; deterministic."""
     return EvaluationSet(spec, tuple(sorted(value_counts(spec))))

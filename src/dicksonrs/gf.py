@@ -11,14 +11,14 @@ FiniteField object it belongs to; 0 and 1 always encode the additive and
 multiplicative identities.  Keeping elements unboxed makes exhaustive scans
 over small fields cheap, which is what most of this package does.
 
-For extension fields with q <= 2^16 the field lazily builds exp/log tables
-over the primitive element g = `primitive_element()`, so mul/inv/pow are
-O(1) lookups.  The build treats multiplication by g as an F_p-linear map:
-two half-tables give g times the low and the high digits, and the q-2
-steps add them on a bit-sliced digit vector, with no polynomial product
-per element.  Larger
-fields (supported up to q <= 2^32) fall back to direct polynomial
-arithmetic modulo the defining polynomial.
+Every value a field derives (the exp/log tables, the kernels, the trace
+basis and table, the primitive element) is a cached property, built on
+first read.  Extension fields with q <= 2^16 get exp/log tables over the
+primitive element g, so mul/inv/pow are O(1) lookups.  The build treats
+multiplication by g as an F_p-linear map: two half-tables give g times
+the low and the high digits, and the q-2 steps add them on a bit-sliced
+digit vector, with no polynomial product per element.  Larger fields (up
+to q <= 2^32) use direct polynomial arithmetic modulo the modulus.
 
 `FiniteField.kernels()` holds the only add and mul: unchecked closures
 (odd-characteristic extensions under the table cap add through Zech
@@ -32,7 +32,7 @@ form, Tr(x) = sum c_i Tr(t^i) over x's digits, tabulated under the cap, and
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from typing import NamedTuple
 
@@ -200,6 +200,15 @@ def two_adic(q: int, n: int) -> TwoAdicData:
     return TwoAdicData(r=r, t=t)
 
 
+class _cached(cached_property):
+    # set by setattr: reading __dict__, as cached_property does, slows all reads in CPython 3.11
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        setattr(obj, self.attrname, value := self.func(obj))
+        return value
+
+
 class FiniteField:
     """GF(p^m) with an explicit monic irreducible modulus.
 
@@ -229,12 +238,6 @@ class FiniteField:
         # int encoding of the modulus for the characteristic-2 bit path
         self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
         self._ppow = [p**i for i in range(m + 1)]
-        self._exp = None  # exp/log tables, built lazily; exp is stored twice over
-        self._log = None
-        self._trace_basis = None  # Tr(t^i), i < m, and the trace table, built lazily
-        self._trace_tab = None
-        self._kernels = None
-        self._primitive = None
 
     # -- identity / representation ------------------------------------
 
@@ -296,12 +299,12 @@ class FiniteField:
     def add(self, x: int, y: int) -> int:
         self._check(x)
         self._check(y)
-        return self.kernels()[0](x, y)
+        return self._kernels[0](x, y)
 
     def neg(self, x: int) -> int:
         # p-1 encodes -1 of the prime subfield (and 1 = -1 when p = 2)
         self._check(x)
-        return self.kernels()[1](x, self.p - 1)
+        return self._kernels[1](x, self.p - 1)
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -309,7 +312,7 @@ class FiniteField:
     def mul(self, x: int, y: int) -> int:
         self._check(x)
         self._check(y)
-        return self.kernels()[1](x, y)
+        return self._kernels[1](x, y)
 
     def inv(self, x: int) -> int:
         if x == 0:
@@ -332,9 +335,8 @@ class FiniteField:
         if self.m == 1:
             return pow(x, e, self.p)
         if self.q <= _TABLE_Q_CAP:
-            if self._exp is None:
-                self._build_tables()
-            return self._exp[(self._log[x] * e) % (self.q - 1)]
+            exp, log = self._tables
+            return exp[(log[x] * e) % (self.q - 1)]
         return self._pow_direct(x, e)
 
     def kernels(self):
@@ -346,19 +348,16 @@ class FiniteField:
         but valid encodings.  Built on first use; tables are O(q) and only
         exist under the table cap.
         """
-        if self._kernels is None:
-            self._kernels = self._build_kernels()
         return self._kernels
 
-    def _build_kernels(self):
+    @_cached
+    def _kernels(self):
         p, q = self.p, self.q
         if self.m == 1:
             return (lambda x, y: (x + y) % p), (lambda x, y: x * y % p)
         if q > _TABLE_Q_CAP:
             return (operator.xor if p == 2 else self._add_digits), self._mul_direct
-        if self._exp is None:
-            self._build_tables()
-        exp, log = self._exp, self._log  # exp[i + j] for i, j < q-1 needs no reduction
+        exp, log = self._tables  # exp[i + j] for i, j < q-1 needs no reduction
 
         def mul(x, y):
             if x and y:
@@ -390,14 +389,14 @@ class FiniteField:
         Found on first use by testing g^((q-1)/ell) != 1 for every prime
         ell | q-1, with direct products, so no table is built for it.
         """
-        if self._primitive is None:
-            q = self.q
-            power = self._pow_direct if self.m > 1 else (lambda x, e: pow(x, e, q))
-            cofactors = [(q - 1) // ell for ell in _prime_factors(q - 1)]
-            self._primitive = next(
-                c for c in self.units() if all(power(c, e) != 1 for e in cofactors)
-            )
         return self._primitive
+
+    @_cached
+    def _primitive(self) -> int:
+        q = self.q
+        power = self._pow_direct if self.m > 1 else (lambda x, e: pow(x, e, q))
+        cofactors = [(q - 1) // ell for ell in _prime_factors(q - 1)]
+        return next(c for c in self.units() if all(power(c, e) != 1 for e in cofactors))
 
     def _add_digits(self, x: int, y: int) -> int:
         p, out, ppow = self.p, 0, self._ppow
@@ -422,8 +421,8 @@ class FiniteField:
         w = _pmod(_pmul(u, v, self.p), list(self.modulus), self.p)
         return self.encode(w)
 
-    def _build_tables(self):
-        """exp/log tables over g = `primitive_element()`.
+    def _build_tables(self) -> tuple[list[int], list[int]]:
+        """(exp, log) over g = `primitive_element()`; exp is stored twice over.
 
         Multiplication by g is F_p-linear, so g*x is g times x's low h =
         floor(m/2) digits plus g times its high digits, each read from a
@@ -471,8 +470,9 @@ class FiniteField:
         log = [0] * q
         for i, e in enumerate(exp):
             log[e] = i
-        self._exp = exp * 2
-        self._log = log
+        return exp * 2, log
+
+    _tables = _cached(_build_tables)
 
     def _pow_direct(self, x: int, e: int) -> int:
         r, b = 1, x
@@ -492,13 +492,12 @@ class FiniteField:
         digits c_i of x; under the table cap that sum is tabulated once.
         """
         self._check(x)
-        if self._trace_basis is None:
-            self._build_trace()
-        if self._trace_tab is not None:
+        if self.q <= _TABLE_Q_CAP:
             return self._trace_tab[x]
         return sum(c * w for c, w in zip(self.decode(x), self._trace_basis)) % self.p
 
-    def _build_trace(self):
+    @_cached
+    def _trace_basis(self) -> list[int]:
         p, basis = self.p, []
         for y in self._ppow[:-1]:  # t^i is encoded as p^i
             # Tr(t^i) from the definition: it lies in GF(p), so the digits
@@ -508,13 +507,15 @@ class FiniteField:
                 y = self._pow_direct(y, p)
                 acc += y % p
             basis.append(acc % p)
-        self._trace_basis = basis
-        if self.q <= _TABLE_Q_CAP:
-            # by linearity, one digit at a time: tab[c*p^i + j] = tab[j] + c*Tr(t^i)
-            tab = [0]
-            for w in basis:
-                tab = [(v + c * w) % p for c in range(p) for v in tab]
-            self._trace_tab = tab
+        return basis
+
+    @_cached
+    def _trace_tab(self) -> list[int]:
+        # by linearity, one digit at a time: tab[c*p^i + j] = tab[j] + c*Tr(t^i)
+        p, tab = self.p, [0]
+        for w in self._trace_basis:
+            tab = [(v + c * w) % p for c in range(p) for v in tab]
+        return tab
 
     def quad_char(self, x: int) -> int:
         """Quadratic character by Euler's criterion: 0 at 0, otherwise

@@ -639,3 +639,71 @@ def test_suite_cells_past_the_enumeration_budget_are_skips(budget_dp, deephole_d
         "sieve,2097152,,,,,,global,pass,\"cycle counts, rising factorial, periodic bound\"",
         "sieve,2097152,3,1,,,,,skipped,skipped: budget (|D| > 12)",
     ]
+
+
+def _one_suite_instance(cfg):
+    (suite,) = run_suite(cfg).suites
+    (inst,) = suite.instances
+    return inst
+
+
+def test_deephole_suite_reports_a_crosscheck_that_disagrees(monkeypatch):
+    # one too small: the non-deep holes stay below the radius |D|-k = 3, the
+    # first deep hole (b1 = 3) drops to 2 and disagrees with the subset sums
+    real = cli.error_distance_bf
+    monkeypatch.setattr(cli, "error_distance_bf", lambda word, budget: real(
+        word, budget)._replace(distance=real(word, budget).distance - 1))
+    cfg = ExperimentConfig(field="7", suites=("deephole",), n=(2,), a=(1,), k=(1,))
+    inst = _one_suite_instance(cfg)
+    assert (inst.status, inst.detail) == ("fail", "b1=3: distance 2 vs subset-sum True")
+
+
+def test_deephole_suite_reports_a_wrong_n_u_total(monkeypatch):
+    real = cli.count_Nu
+    monkeypatch.setattr(cli, "count_Nu",
+                        lambda code, b1, budget: real(code, b1, budget) + (b1 == 0))
+    cfg = ExperimentConfig(field="7", suites=("deephole",), n=(2,), a=(1,), k=(1,))
+    inst = _one_suite_instance(cfg)
+    assert (inst.status, inst.detail) == ("fail", "sum N_u = 13 != (|D|)_{k+1} = 12")
+
+
+def test_preimage_suite_reports_the_first_wrong_count(monkeypatch):
+    real = cli.preimage_count
+
+    def off_at_3(spec, x0):
+        rep = real(spec, x0)
+        return rep._replace(count=rep.count + 1) if x0 == 3 else rep
+
+    monkeypatch.setattr(cli, "preimage_count", off_at_3)
+    cfg = ExperimentConfig(field="7", suites=("preimage",), n=(2,), a=(1,))
+    inst = _one_suite_instance(cfg)
+    assert inst.status == "fail"
+    assert inst.params == {"q": 7, "n": 2, "a": 1, "x0": 3}
+    assert inst.detail == "formula=3 brute=2 (+0 more)"
+
+
+# outside the size formula's domain (n = 1 or a = 0) the runner enumerates D
+# to read |D|: D_1(x, 1) = x gives D = F_7, and D_2(x, 0) = x^2 the squares
+@pytest.mark.parametrize("n, a, size_d", [(1, 1, 7), (2, 0, 4)])
+def test_deephole_enumerates_d_first_outside_the_formula_domain(n, a, size_d, capsys):
+    assert main(["deephole", "--field", "7", "--n", str(n), "--a", str(a), "--k", "1",
+                 "--all-b1", "--brute-force-crosscheck"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["size_d"] == size_d and len(doc["reports"]) == 7
+    assert all(r["crosscheck_agree"] for r in doc["reports"])
+    assert sum(r["n_u"] for r in doc["reports"]) == perm(size_d, 2)
+
+
+def test_deephole_suite_enumerates_each_cell_once(monkeypatch, capsys):
+    # every k of an (n, a) cell reads the same D
+    from dicksonrs import dickson
+
+    cells = []
+    real = dickson.value_counts
+    monkeypatch.setattr(dickson, "value_counts",
+                        lambda spec: cells.append((spec.n, spec.a)) or real(spec))
+    dickson.value_set.cache_clear()
+    assert main(["suite", "--field", "7", "--suites", "deephole", "--n", "2..3", "--a", "1,2",
+                 "--k", "1..3"]) == 0
+    capsys.readouterr()
+    assert cells == [(2, 1), (2, 2), (3, 1), (3, 2)]

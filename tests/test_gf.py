@@ -1,5 +1,6 @@
 """Field arithmetic against an independent coefficient-list oracle."""
 
+import functools
 import random
 
 import pytest
@@ -147,7 +148,7 @@ def test_ops_and_trace_above_table_cap_match_naive(p, m):
         assert F.mul(x, y) == naive_mul(F, x, y)
         assert naive_mul(F, y, F.inv(y)) == 1
         assert F.trace(x) == naive_trace(F, x)
-    assert F._exp is None and F._trace_tab is None
+    assert "_tables" not in vars(F) and "_trace_tab" not in vars(F)
 
 
 def test_gf4_mul_example(grid_fields):
@@ -244,7 +245,7 @@ def test_trace_matches_definition(p, m, capped, monkeypatch):
         monkeypatch.setattr(gf, "_TABLE_Q_CAP", 1)
     F = FiniteField(p, m)
     assert [F.trace(x) for x in F.elements()] == [naive_trace(F, x) for x in F.elements()]
-    assert (F._trace_tab is None) == capped
+    assert ("_trace_tab" in vars(F)) != capped
 
 
 # --- quadratic character ----------------------------------------------------
@@ -278,7 +279,7 @@ def test_quad_char_above_table_cap_builds_no_table():
         assert F.quad_char(F.mul(x, x)) == 1
     for x, y in zip(xs, xs[1:]):
         assert F.quad_char(F.mul(x, y)) == F.quad_char(x) * F.quad_char(y)
-    assert F._exp is None
+    assert "_tables" not in vars(F)
 
 
 def test_elements_obeys_the_enumeration_budget():
@@ -297,11 +298,11 @@ def test_elements_obeys_the_enumeration_budget():
 def test_quad_char_euler_matches_log_parity(p, m, monkeypatch):
     tabled = FiniteField(p, m)
     want = [tabled.quad_char(x) for x in tabled.units()]
-    assert tabled._exp is not None
+    assert "_tables" in vars(tabled)
     monkeypatch.setattr(gf, "_TABLE_Q_CAP", 1)  # every field is now above the cap
     euler = FiniteField(p, m)
     assert [euler.quad_char(x) for x in euler.units()] == want
-    assert euler._exp is None
+    assert "_tables" not in vars(euler)
 
 
 def test_quad_char_rejects_even_q(grid_fields):
@@ -389,8 +390,8 @@ def test_tables_match_power_iteration(spec):
     F = parse_field_spec(spec)
     exp, log = _power_tables(F)
     add, mul = F.kernels()
-    assert F._exp == exp * 2
-    assert F._log == log
+    assert F._tables == (exp * 2, log)
+    assert parse_field_spec(spec)._build_tables() == F._tables  # a fresh field builds them too
     # every Zech logarithm is read by one add(1, y)
     assert [add(1, y) for y in exp] == [naive_add(F, 1, y) for y in exp]
     rng = random.Random(F.q)
@@ -398,6 +399,21 @@ def test_tables_match_power_iteration(spec):
         x, y = rng.randrange(F.q), rng.randrange(F.q)
         assert add(x, y) == naive_add(F, x, y)
         assert mul(x, y) == naive_mul(F, x, y)
+
+
+@pytest.mark.parametrize("spec", ["7", "2^5", "3^3", "2^17", "3^11"])
+def test_derived_values_are_cached_properties_built_on_first_read(spec):
+    F = parse_field_spec(spec)
+    derived = ("_tables", "_kernels", "_trace_basis", "_trace_tab", "_primitive")
+    assert all(isinstance(vars(FiniteField)[name], functools.cached_property)
+               for name in derived)
+    assert set(vars(F)) == {"p", "m", "q", "modulus", "_mod_int", "_ppow"}
+    F.add(1, 1), F.trace(1), F.primitive_element()
+    assert F.kernels() is vars(F)["_kernels"]
+    assert F.primitive_element() is vars(F)["_primitive"]
+    under_cap = F.q <= gf._TABLE_Q_CAP
+    assert ("_tables" in vars(F)) == (under_cap and F.m > 1)
+    assert ("_trace_tab" in vars(F)) == under_cap
 
 
 @pytest.mark.parametrize("q", [27, 25, 49])
@@ -428,7 +444,7 @@ def _order(F, g):
 @pytest.mark.parametrize("spec", ["2", "3", "7", "13", "2^3", "2^5", "3^3", "5^2", "7^2", "2^17"])
 def test_primitive_element_has_order_q_minus_1(spec):
     F = parse_field_spec(spec)
-    assert F._primitive is None  # found on first use, not by the constructor
+    assert "_primitive" not in vars(F)  # found on first use, not by the constructor
     g = F.primitive_element()
     assert _order(F, g) == F.q - 1
     if F.q <= 1 << 8:
@@ -436,4 +452,4 @@ def test_primitive_element_has_order_q_minus_1(spec):
         assert all(_order(F, c) < F.q - 1 for c in range(1, g))
     if 1 < F.m and F.q <= gf._TABLE_Q_CAP:
         F.kernels()
-        assert F._exp[1] == g  # the exp/log tables are built over it
+        assert F._tables[0][1] == g  # the exp/log tables are built over it

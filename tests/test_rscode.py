@@ -258,6 +258,12 @@ def test_subset_sum_budget(f7):
         subset_sum_count(f7, (0, 2, 5, 6), 2, 0, budget=10)
 
 
+def test_subset_sum_rejects_more_elements_than_the_set_has():
+    # the CLI checks k + 2 <= |D| first, so only the API reaches this rule
+    with pytest.raises(ValueError, match=r"^r = 5 exceeds \|D\| = 4$"):
+        subset_sum_count(FiniteField(7), (0, 2, 5, 6), 5, 0)
+
+
 def test_code_table_built_once_and_guarded(dickson_code_f7):
     code = dickson_code_f7
     table = code.subset_sums
