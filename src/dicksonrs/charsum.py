@@ -190,6 +190,7 @@ def require_sum(which: str, spec: DicksonSpec, b: int = 1):
         raise ValueError("bound requires a != 0")
 
 
+# unbounded: cells of any n share a (field, a) entry; bounded, the suite's peak rose
 @lru_cache(maxsize=None)
 def _eta_vector(field: FiniteField, a: int) -> tuple[int, ...]:
     """eta(x^2 - 4a) for every x, odd q."""
@@ -198,7 +199,7 @@ def _eta_vector(field: FiniteField, a: int) -> tuple[int, ...]:
     return tuple(field.quad_char(add(mul(x, x), minus_4a)) for x in field.elements())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # unbounded, as `_eta_vector`
 def _weil3_shift_tables(field: FiniteField, a: int):
     """psi_Tr(a/x^2) and psi_Tr(a^(q/2)/x) for x in F_q^*, even q."""
     _, mul = field.kernels()
@@ -217,7 +218,7 @@ def _weil3_shift_tables(field: FiniteField, a: int):
     return t_sq, t_lin
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # keyed per cell, whose `CellSums.weights` keeps its own copy
 def _preimage_weights(spec: DicksonSpec) -> tuple[float, ...]:
     """1/N_x for every x, with N_x from the preimage-count formula."""
     return tuple(1.0 / preimage_count(spec, x).count for x in spec.field.elements())

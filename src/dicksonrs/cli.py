@@ -37,6 +37,7 @@ from .dickson import (
     preimage_count,
     value_counts,
     value_set,
+    value_set_size,
     value_set_size_formula,
 )
 from .gf import FiniteField, parse_field_spec
@@ -261,11 +262,6 @@ def _cells(cfg: ExperimentConfig, F: FiniteField, out: list, enumerate_):
         yield params, spec, values
 
 
-def _size(spec: DicksonSpec) -> int:
-    """|D| by the value-set size formula, which reads no element of F_q."""
-    return value_set_size_formula(spec).size
-
-
 def _run_valueset(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out = []
     for params, spec, counts in _cells(cfg, F, out, value_counts):
@@ -338,7 +334,7 @@ def _run_sieve(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
                         sieve_identity_F)
 
     def direct_set(spec: DicksonSpec):
-        if _size(spec) > DIRECT_MAX_D:  # decided before D is enumerated
+        if value_set_size(spec) > DIRECT_MAX_D:  # decided before D is enumerated
             raise ValueError(f"|D| > {DIRECT_MAX_D}")
         return value_set(spec)
 
@@ -380,7 +376,7 @@ def _deep_holes(spec: DicksonSpec, k: int, budget_dp: int, budget_subsets: int |
     (None: every b1 in F_q), are crosschecked, and their lazy reports.  A
     crosscheck costs C(|D|, k) pencil parameters a word; over `budget_subsets`
     (None: none) they raise, or are dropped if `fall_back`."""
-    size = _size(spec) if spec.n >= 2 and spec.a else value_set(spec).size
+    size = value_set_size(spec) if spec.n >= 2 and spec.a else value_set(spec).size
     if k + 2 > size:
         raise _refused(f"{_NO_WORDS}: k = {k}, |D| = {size}", _NO_WORDS)
     try:
@@ -418,7 +414,7 @@ def _deep_holes(spec: DicksonSpec, k: int, budget_dp: int, budget_subsets: int |
 
 def _run_deephole(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out = []
-    for cell, spec, size in _cells(cfg, F, out, _size):
+    for cell, spec, size in _cells(cfg, F, out, value_set_size):
         for k in cfg.k:
             params = dict(cell, k=k)
             try:
@@ -449,7 +445,7 @@ def _run_region(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
 
     out = []
     seen = set()
-    for params, spec, size_d in _cells(cfg, F, out, _size):
+    for params, spec, size_d in _cells(cfg, F, out, value_set_size):
         key = (spec.n, size_d)
         if key in seen:
             continue
@@ -636,7 +632,7 @@ def _cmd_deephole(args, F: FiniteField) -> tuple[dict, bool]:
 
 def _size_d(args, F: FiniteField) -> int:
     """--size-d, or else the value-set size formula for D_n(x, a)."""
-    return _size(DicksonSpec(F, args.n, args.a)) if args.size_d is None else args.size_d
+    return value_set_size(DicksonSpec(F, args.n, args.a)) if args.size_d is None else args.size_d
 
 
 def _cmd_bound(args, F: FiniteField) -> tuple[dict, bool]:

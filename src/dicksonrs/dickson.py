@@ -13,8 +13,8 @@ The two counting results implemented here, both exact:
   * preimage_count - the size of D_n^{-1}(D_n(x0, a)), by case analysis on
     the splitting of z^2 + x0*z + a (even q) or on the quadratic character
     of x0^2 - 4a (odd q);
-  * value_set_size_formula - |{D_n(x, a) : x in F_q}| as a pair of gcd
-    terms plus a correction delta in {0, 1/2, 1}.
+  * value_set_size - |{D_n(x, a) : x in F_q}| as two gcd terms plus a
+    correction delta in {0, 1/2, 1}, added doubled, in integers.
 
 Both ask for n >= 2 and a != 0.  The only interpretive liberty taken is
 the comparison "D_n(x0,a) = +-2a^(n/2)" for odd n: it is read as
@@ -40,6 +40,7 @@ __all__ = [
     "preimage_count",
     "value_counts",
     "value_set",
+    "value_set_size",
     "value_set_size_formula",
     "values_vector",
 ]
@@ -107,6 +108,7 @@ def dickson_eval(spec: DicksonSpec, x: int) -> int:
     return next(_eval_recurrence(spec.field, spec.n, spec.a, (x,)))
 
 
+# unbounded: bench/spans.py reads its cache_info(); tests key rows by its tuples' ids
 @lru_cache(maxsize=None)
 def values_vector(spec: DicksonSpec) -> tuple[int, ...]:
     """(D_n(0,a), D_n(1,a), ..., D_n(q-1,a)) in encoding order."""
@@ -125,32 +127,41 @@ def value_set(spec: DicksonSpec) -> EvaluationSet:
     return EvaluationSet(spec, tuple(sorted(value_counts(spec))))
 
 
-def value_set_size_formula(spec: DicksonSpec) -> ValueSetReport:
-    """|value set| from (q, n, a) alone; exact rational bookkeeping.
-
-    size = (q-1)/(2*gcd(n,q-1)) + (q+1)/(2*gcd(n,q+1)) + delta, with
+def _doubled_terms(spec: DicksonSpec) -> tuple[int, int, int]:
+    """(T1, T2, Delta) = (q-1)/gcd(n,q-1), (q+1)/gcd(n,q+1), 2*delta, so
+    |D| = (T1 + T2 + Delta)/2 (an odd sum raises ArithmeticError), where
     delta = 1   if q odd, 2^(r-1) || n and a is a non-square,
     delta = 1/2 if q odd and 2^t || n with 1 <= t <= r-2,
-    delta = 0   otherwise,  where 2^r || q^2 - 1.
-    """
-    from fractions import Fraction  # deferred: only this formula needs it
-
+    delta = 0   otherwise,  where 2^r || q^2 - 1."""
     spec._require_formula_domain()
-    F, n, a = spec.field, spec.n, spec.a
+    F, n = spec.field, spec.n
     q = F.q
-    t1 = Fraction(q - 1, 2 * gcd(n, q - 1))
-    t2 = Fraction(q + 1, 2 * gcd(n, q + 1))
-    delta = Fraction(0)
+    twice_delta = 0
     if q % 2 == 1:
         val = two_adic(q, n)
-        if val.t == val.r - 1 and F.quad_char(a) == -1:
-            delta = Fraction(1)
+        if val.t == val.r - 1 and F.quad_char(spec.a) == -1:
+            twice_delta = 2
         elif 1 <= val.t <= val.r - 2:
-            delta = Fraction(1, 2)
-    total = t1 + t2 + delta
-    if total.denominator != 1:
-        raise ArithmeticError(f"value-set size {total} is not an integer for {spec}")
-    return ValueSetReport(size=int(total), delta=delta, terms=(t1, t2))
+            twice_delta = 1
+    terms = (q - 1) // gcd(n, q - 1), (q + 1) // gcd(n, q + 1), twice_delta
+    if sum(terms) % 2:
+        raise ArithmeticError(f"value-set size {sum(terms)}/2 is not an integer for {spec}")
+    return terms
+
+
+def value_set_size(spec: DicksonSpec) -> int:
+    """|value set| from (q, n, a) alone, in integers, by `_doubled_terms`."""
+    return sum(_doubled_terms(spec)) // 2
+
+
+def value_set_size_formula(spec: DicksonSpec) -> ValueSetReport:
+    """`value_set_size` with its terms as exact fractions:
+    size = (q-1)/(2*gcd(n,q-1)) + (q+1)/(2*gcd(n,q+1)) + delta."""
+    from fractions import Fraction  # deferred: only this report needs it
+
+    t1, t2, twice_delta = _doubled_terms(spec)
+    return ValueSetReport(size=(t1 + t2 + twice_delta) // 2, delta=Fraction(twice_delta, 2),
+                          terms=(Fraction(t1, 2), Fraction(t2, 2)))
 
 
 def _pm_two_a_half(field: FiniteField, n: int, a: int, value: int) -> bool:

@@ -25,8 +25,16 @@ to q <= 2^32) use direct polynomial arithmetic modulo the modulus.
 logarithms, tabulated in one O(q) pass since 1 + x differs from x only in
 the constant digit).  The public ops are checked kernels: they range-check
 their operands and call a kernel, or `pow` for inv.  The trace is a linear
-form, Tr(x) = sum c_i Tr(t^i) over x's digits, tabulated under the cap, and
-`quad_char` is Euler's criterion x^((q-1)/2) through `pow`.
+form, Tr(x) = sum c_i Tr(t^i) over x's digits (Tr(t^i) by Newton's
+identities on the modulus), tabulated under the cap, and `quad_char` is
+Euler's criterion x^((q-1)/2) through `pow`.
+
+The default modulus is the smallest monic irreducible f of degree m, by
+Rabin's test with a unit test for its gcd step.  Once x^(p^m) = x mod f,
+f divides the squarefree x^(p^m) - x, so GF(p)[x]/(f) is a product of
+fields GF(p^d) with d | m.  h = x^(p^(m/ell)) - x is zero exactly in the
+factors with d | m/ell, so f is irreducible iff, for every prime ell | m,
+h is a unit, i.e. h^(p^m - 1) = 1 mod f (a unit's order divides p^m - 1).
 """
 
 from __future__ import annotations
@@ -114,45 +122,21 @@ def _ppowmod(u: list[int], e: int, f: list[int], p: int) -> list[int]:
     return r
 
 
-def _pgcd(u: list[int], v: list[int], p: int) -> list[int]:
-    u, v = list(u), list(v)
-    while v:
-        # make v monic so _pmod applies
-        lc_inv = pow(v[-1], p - 2, p)
-        vm = [(c * lc_inv) % p for c in v]
-        u, v = vm, _pmod(u, vm, p)
-    return u
-
-
-def _psub(u: list[int], v: list[int], p: int) -> list[int]:
-    out = [0] * max(len(u), len(v))
-    for i in range(len(out)):
-        a = u[i] if i < len(u) else 0
-        b = v[i] if i < len(v) else 0
-        out[i] = (a - b) % p
-    return _ptrim(out)
-
-
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's deterministic test for a monic polynomial over GF(p)."""
+    """Rabin's test for a monic f over GF(p), its gcd step a unit test:
+    h^(p^m - 1) = 1 mod f for h = x^(p^(m/ell)) - x (see the module doc)."""
     m = len(f) - 1
     if m < 1 or f[-1] != 1:
         return False
     if m == 1:
         return True
     x = [0, 1]
-    # x^(p^m) == x mod f
-    t = x
-    for _ in range(m):
-        t = _ppowmod(t, p, f, p)
-    if _psub(t, x, p):
+    if _ppowmod(x, p**m, f, p) != x:
         return False
-    # gcd(x^(p^(m/ell)) - x, f) == 1 for every prime ell | m
     for ell in _prime_factors(m):
-        t = x
-        for _ in range(m // ell):
-            t = _ppowmod(t, p, f, p)
-        if len(_pgcd(f, _psub(t, x, p), p)) - 1 != 0:
+        h = _ppowmod(x, p ** (m // ell), f, p) + [0, 0]
+        h[1] = (h[1] - 1) % p
+        if _ppowmod(h, p**m - 1, f, p) != [1]:
             return False
     return True
 
@@ -184,20 +168,11 @@ class TwoAdicData(NamedTuple):
 def two_adic(q: int, n: int) -> TwoAdicData:
     """Valuations used by the value-set and preimage formulas.
 
-    For even q, q^2-1 is odd and r = 0.
+    For even q, q^2-1 is odd and r = 0; t = 0 for n <= 0.
     """
-    r = 0
-    if q % 2 == 1:
-        v = q * q - 1
-        while v % 2 == 0:
-            v //= 2
-            r += 1
-    t = 0
-    v = n
-    while v > 0 and v % 2 == 0:
-        v //= 2
-        t += 1
-    return TwoAdicData(r=r, t=t)
+    v = q * q - 1  # v & -v is v's lowest set bit, 2^r
+    t = (n & -n).bit_length() - 1 if n > 0 else 0
+    return TwoAdicData(r=(v & -v).bit_length() - 1, t=t)
 
 
 class _cached(cached_property):
@@ -498,16 +473,13 @@ class FiniteField:
 
     @_cached
     def _trace_basis(self) -> list[int]:
-        p, basis = self.p, []
-        for y in self._ppow[:-1]:  # t^i is encoded as p^i
-            # Tr(t^i) from the definition: it lies in GF(p), so the digits
-            # of the conjugates y^(p^j) cancel except the constant ones
-            acc = y % p
-            for _ in range(self.m - 1):
-                y = self._pow_direct(y, p)
-                acc += y % p
-            basis.append(acc % p)
-        return basis
+        # Tr(t^i) = s_i, the i-th power sum of the modulus's roots (the
+        # conjugates of t), by Newton's identities on its coefficients c_j
+        p, m, c = self.p, self.m, self.modulus
+        s = [m % p]
+        for i in range(1, m):
+            s.append(-(i * c[m - i] + sum(c[m - j] * s[i - j] for j in range(1, i))) % p)
+        return s
 
     @_cached
     def _trace_tab(self) -> list[int]:

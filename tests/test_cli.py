@@ -408,6 +408,31 @@ def test_cli_import_leaves_module_unloaded(module, fresh_python):
     assert fresh_python(code) == "False"
 
 
+@pytest.mark.parametrize("argv", [
+    "deephole --field 2^4 --n 3 --a 1 --k 2 --all-b1",
+    "region --field 2^8 --n 3 --c1 0.015",
+    "bound --field 2^8 --n 3 --k 3",
+    "suite --field 2^4 --suites deephole,sieve,region --n 2..3 --a 1 --k 1",
+])
+def test_size_d_runs_leave_fractions_unloaded(argv, fresh_python):
+    # |D| is an integer rule; only the value-set report builds Fractions
+    code = ("import contextlib, io, sys; from dicksonrs.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    main({argv.split()!r})\n"
+            "print('fractions' in sys.modules)")
+    assert fresh_python(code) == "False"
+
+
+def test_charsum_suite_keeps_one_preimage_weights_entry():
+    # keyed per cell: each cell's CellSums holds its own weights
+    charsum._preimage_weights.cache_clear()
+    cfg = ExperimentConfig.from_text("field=2^3\nsuites=charsum\nn=2..3\na=all")
+    report = run_suite(cfg)
+    assert len(report.suites[0].instances) == 14
+    assert charsum._preimage_weights.cache_info().currsize <= 1
+
+
 def test_enumerating_suites_leave_the_values_vector_cache_empty():
     # valueset, preimage, sieve and deephole enumerate each (n, a) cell once;
     # none of them may keep a q-tuple per cell in values_vector's cache

@@ -10,6 +10,7 @@ from math import comb
 
 import pytest
 
+import dicksonrs.dickson as dickson
 from dicksonrs import (
     DicksonSpec,
     FiniteField,
@@ -18,6 +19,7 @@ from dicksonrs import (
     preimage_count,
     value_counts,
     value_set,
+    value_set_size,
     value_set_size_formula,
 )
 from dicksonrs.dickson import values_vector
@@ -183,10 +185,20 @@ def test_formula_2_16(f2_16):
 
 
 def test_formula_rejects_out_of_domain(grid_fields):
-    with pytest.raises(ValueError):
-        value_set_size_formula(DicksonSpec(grid_fields[7], 2, 0))
-    with pytest.raises(ValueError):
-        value_set_size_formula(DicksonSpec(grid_fields[7], 1, 1))
+    for size in (value_set_size, value_set_size_formula):
+        with pytest.raises(ValueError):
+            size(DicksonSpec(grid_fields[7], 2, 0))
+        with pytest.raises(ValueError):
+            size(DicksonSpec(grid_fields[7], 1, 1))
+
+
+def test_odd_doubled_sum_is_an_arithmetic_error(monkeypatch, grid_fields):
+    # the theorem makes T1 + T2 + 2*delta even; with gcd forced to 1, q = 7,
+    # n = 2 sums to 6 + 8 + 1 = 15, which both sizes report, not round
+    monkeypatch.setattr(dickson, "gcd", lambda x, y: 1)
+    for size in (value_set_size, value_set_size_formula):
+        with pytest.raises(ArithmeticError, match="value-set size 15/2 is not an integer"):
+            size(DicksonSpec(grid_fields[7], 2, 1))
 
 
 def test_formula_matches_enumeration_subgrid(grid_fields):
@@ -196,7 +208,8 @@ def test_formula_matches_enumeration_subgrid(grid_fields):
         for n in range(2, 13):
             for a in F.units():
                 spec = DicksonSpec(F, n, a)
-                assert value_set_size_formula(spec).size == value_set(spec).size
+                assert value_set_size(spec) == value_set_size_formula(spec).size
+                assert value_set_size(spec) == value_set(spec).size
 
 
 # --- preimage counts --------------------------------------------------------

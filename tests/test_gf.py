@@ -95,6 +95,56 @@ def test_q_2_16():
     assert F.q == 65536
 
 
+# the default modulus (the smallest monic irreducible of degree m) of each
+# field, as its nonzero non-leading coefficients {i: c_i}
+_DEFAULT_MODULI = {
+    (2, 2): {0: 1, 1: 1},
+    (2, 8): {0: 1, 1: 1, 3: 1, 4: 1},
+    (2, 16): {0: 1, 1: 1, 3: 1, 5: 1},
+    (2, 20): {0: 1, 3: 1},
+    (2, 32): {0: 1, 2: 1, 3: 1, 7: 1},
+    (3, 5): {0: 1, 1: 2},
+    (3, 10): {0: 1, 2: 2},
+    (3, 11): {0: 2, 2: 1},
+    (3, 20): {0: 1, 1: 2, 3: 1},
+    (5, 6): {0: 2, 1: 1},
+    (5, 13): {0: 2, 1: 3, 2: 1},
+    (7, 5): {0: 3, 1: 1},
+    (13, 2): {0: 2},
+}
+
+
+@pytest.mark.parametrize("p, m", list(_DEFAULT_MODULI))
+def test_default_moduli_are_pinned(p, m):
+    want = [_DEFAULT_MODULI[p, m].get(i, 0) for i in range(m)] + [1]
+    assert FiniteField(p, m).modulus == tuple(want)
+
+
+def _has_monic_factor(f, p):
+    """Trial division of monic f by every monic g of degree 1..deg(f)/2."""
+    m = len(f) - 1
+    for d in range(1, m // 2 + 1):
+        for key in range(p**d):
+            g, r = _dec(key, p, d) + [1], list(f)
+            for i in range(m, d - 1, -1):
+                c = r[i]
+                if c:
+                    for j in range(d + 1):
+                        r[i - d + j] = (r[i - d + j] - c * g[j]) % p
+            if not any(r[:d]):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p, top", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_is_irreducible_matches_trial_division(p, top):
+    # every monic f of degree m with p^m <= p^top
+    for m in range(1, top + 1):
+        for key in range(p**m):
+            f = _dec(key, p, m) + [1]
+            assert gf._is_irreducible(f, p) != _has_monic_factor(f, p), f
+
+
 def test_field_create_deterministic():
     assert FiniteField(2, 8).modulus == FiniteField(2, 8).modulus
     assert FiniteField(3, 3) == FiniteField(3, 3)
@@ -336,6 +386,8 @@ def test_two_adic_examples():
     assert two_adic(5, 8).t == 3
     assert two_adic(5, 7).t == 0
     assert two_adic(8, 6).r == 0  # even q: q^2 - 1 odd
+    assert two_adic(7, 0).t == 0
+    assert two_adic(7, -4).t == 0  # n <= 0 has no valuation: t = 0
 
 
 def test_two_adic_divides_exactly():
