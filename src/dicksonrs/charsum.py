@@ -2,12 +2,13 @@
 
 An additive character is psi_b(x) = exp(2*pi*i * Tr(b*x) / p); it is
 nontrivial exactly when b != 0.  In characteristic 2 every character value
-is +-1 and all sums here are accumulated as exact signed integers, so the
-even-q results carry no floating-point error at all.  For odd p the values
-are double-precision p-th roots of unity; each verified sum has at most
-2^16 terms, so accumulated rounding stays far below the tolerances used
-by the bound checks (TOL_SLACK = 1e-6 for inequalities, TOL_IDENTITY =
-1e-9 for identities).
+is +-1 and the character sums are exact signed integers; the weighted
+identity's right side still rounds, as it adds float weights 1/N_x (n = 3:
+deviations up to 8.9e-16 at q = 2^3, and 3.4e-12 at q = 2^20 for a = 1, b = 5).
+For odd p the values are double-precision p-th roots of unity.  A sum has at
+most q <= 2^20 terms (the enumeration budget of `FiniteField.elements()`),
+and the rounding seen stays far below the tolerances of the bound checks
+(TOL_SLACK = 1e-6 for inequalities, TOL_IDENTITY = 1e-9 for identities).
 
 Summation always runs in element-encoding order, so results are
 deterministic and independent of any partitioning a caller might do.

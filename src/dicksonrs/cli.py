@@ -79,42 +79,27 @@ def _parse_range(text: str, what: str) -> tuple[int, ...]:
     return vals
 
 
-def _format_range(vals: tuple[int, ...]) -> str:
-    if len(vals) > 2 and vals == tuple(range(vals[0], vals[-1] + 1)):
-        return f"{vals[0]}..{vals[-1]}"
-    return ",".join(str(v) for v in vals)
-
-
 # Each suite setting: its config key, which is also its `suite` flag name,
-# mapped to (parser of its text, formatter back to text, flag help).  Config
-# files, flags and `ExperimentConfig.to_text` all go through here, in this
-# key order; a formatter returning None leaves its key out of the text.
+# mapped to (parser of its text, flag help); config files and flags both use it.
 _SETTINGS = {
-    "field": (str, str, "field spec: p, p^m, or p^m/c0,...,cm"),
-    "suites": (
-        lambda text: tuple(s.strip() for s in text.split(",") if s.strip()),
-        ",".join,
-        f"comma list from {', '.join(SUITE_NAMES)} or 'all'",
-    ),
-    "n": (lambda text: _parse_range(text, "n"), _format_range, "range: 3, 2..12, or 2,3,5"),
-    "a": (
-        lambda text: None if text == "all" else _parse_range(text, "a"),
-        lambda a: "all" if a is None else _format_range(a),
-        "range as for --n, or 'all'",
-    ),
-    "k": (lambda text: _parse_range(text, "k"), _format_range, "range as for --n"),
-    "c1": (float, repr, "region gate constant c1 (default {c1})"),
-    "format": (str, str, "report format: json or csv (default {format})"),
-    "budget-subsets": (
-        int, str, f"cap on brute-force subset scans (default {DEFAULT_SUBSET_BUDGET})"),
-    "budget-dp": (int, str, f"cap on subset-sum DP size |D|*r*q (default {DEFAULT_DP_BUDGET})"),
-    "out": (str, lambda out: out, "write output to this path instead of stdout"),
+    "field": (str, "field spec: p, p^m, or p^m/c0,...,cm"),
+    "suites": (lambda text: tuple(s.strip() for s in text.split(",") if s.strip()),
+               f"comma list from {', '.join(SUITE_NAMES)} or 'all'"),
+    "n": (lambda text: _parse_range(text, "n"), "range: 3, 2..12, or 2,3,5"),
+    "a": (lambda text: None if text == "all" else _parse_range(text, "a"),
+          "range as for --n, or 'all'"),
+    "k": (lambda text: _parse_range(text, "k"), "range as for --n"),
+    "c1": (float, "region gate constant c1 (default {c1})"),
+    "format": (str, "report format: json or csv (default {format})"),
+    "budget-subsets": (int, f"cap on brute-force subset scans (default {DEFAULT_SUBSET_BUDGET})"),
+    "budget-dp": (int, f"cap on subset-sum DP size |D|*r*q (default {DEFAULT_DP_BUDGET})"),
+    "out": (str, "write output to this path instead of stdout"),
 }
 
 
 class ExperimentConfig(NamedTuple):
-    """Everything `suite` needs; round-trips losslessly through key=value
-    text (keys match the CLI flag names)."""
+    """Everything `suite` needs, parsed from key=value text by `from_text`
+    (keys match the CLI flag names)."""
 
     field: str
     suites: tuple[str, ...] = ("all",)
@@ -155,14 +140,6 @@ class ExperimentConfig(NamedTuple):
 
     def a_values(self, F: FiniteField) -> tuple[int, ...]:
         return self.a if self.a is not None else tuple(F.units())
-
-    def to_text(self) -> str:
-        lines = []
-        for key, (_, fmt, _) in _SETTINGS.items():
-            text = fmt(getattr(self, key.replace("-", "_")))
-            if text is not None:
-                lines.append(f"{key}={text}\n")
-        return "".join(lines)
 
     @classmethod
     def from_text(cls, text: str, overrides: dict[str, str] | None = None) -> "ExperimentConfig":
@@ -613,6 +590,9 @@ def _cmd_charsum(args, F: FiniteField) -> tuple[dict, bool]:
 
 
 def _cmd_deephole(args, F: FiniteField) -> tuple[dict, bool]:
+    if args.budget_subsets is not None and not args.brute_force_crosscheck:
+        raise ValueError("--budget-subsets caps the crosscheck; it needs --brute-force-crosscheck")
+    budget = DEFAULT_SUBSET_BUDGET if args.budget_subsets is None else args.budget_subsets
     if args.word is not None:
         values = json.loads(args.word)
         if not isinstance(values, list) or any(type(v) is not int for v in values):
@@ -623,7 +603,7 @@ def _cmd_deephole(args, F: FiniteField) -> tuple[dict, bool]:
     else:
         make_word, sources = monomial_word, (None if args.all_b1 else [args.b1])
     code, _, reports = _deep_holes(DicksonSpec(F, args.n, args.a), args.k, args.budget_dp,
-                                   args.budget_subsets if args.brute_force_crosscheck else None,
+                                   budget if args.brute_force_crosscheck else None,
                                    make_word, sources)
     doc = {"q": F.q, "n": args.n, "a": args.a, "size_d": code.length,
            "covering_radius": code.length - code.k, "reports": list(reports)}
@@ -631,8 +611,9 @@ def _cmd_deephole(args, F: FiniteField) -> tuple[dict, bool]:
 
 
 def _size_d(args, F: FiniteField) -> int:
-    """--size-d, or else the value-set size formula for D_n(x, a)."""
-    return value_set_size(DicksonSpec(F, args.n, args.a)) if args.size_d is None else args.size_d
+    """--size-d, or else the value-set size formula for D_n(x, a), a = --a or 1."""
+    a = 1 if args.a is None else args.a
+    return value_set_size(DicksonSpec(F, args.n, a)) if args.size_d is None else args.size_d
 
 
 def _cmd_bound(args, F: FiniteField) -> tuple[dict, bool]:
@@ -671,13 +652,14 @@ def _cmd_suite(args) -> int:
 
 
 def _add_field(sp):
-    sp.add_argument("--field", required=True, help=_SETTINGS["field"][2])
-    sp.add_argument("--out", help=_SETTINGS["out"][2])
+    sp.add_argument("--field", required=True, help=_SETTINGS["field"][1])
+    sp.add_argument("--out", help=_SETTINGS["out"][1])
 
 
-def _add_spec(sp, a_default=None):
+def _add_spec(sp, a_group=None):
+    """--n, and --a: required, or optional in `a_group` if one is given."""
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a", type=int, required=a_default is None, default=a_default)
+    (a_group or sp).add_argument("--a", type=int, required=a_group is None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -722,9 +704,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("deephole", help="degree-(k+1) deep-hole test via subset sums")
     _add_field(sp)
-    for key, default in (("budget-subsets", DEFAULT_SUBSET_BUDGET),
-                         ("budget-dp", DEFAULT_DP_BUDGET)):
-        sp.add_argument(f"--{key}", type=int, default=default, help=_SETTINGS[key][2])
+    # no --budget-subsets default: any value given needs --brute-force-crosscheck
+    for key, default in (("budget-subsets", None), ("budget-dp", DEFAULT_DP_BUDGET)):
+        sp.add_argument(f"--{key}", type=int, default=default, help=_SETTINGS[key][1])
     _add_spec(sp)
     sp.add_argument("--k", type=int, required=True)
     group = sp.add_mutually_exclusive_group(required=True)
@@ -741,17 +723,19 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_)
         _add_field(sp)
-        _add_spec(sp, a_default=1)
+        # --a only picks D for the size formula; no default, as for charsum --b
+        group = sp.add_mutually_exclusive_group()
+        _add_spec(sp, group)
+        group.add_argument("--size-d", type=int,
+                           help="override |D| (default: size formula of D_n(x, a), a = 1)")
         sp.add_argument(flag, type=type_, required=True)
-        sp.add_argument("--size-d", type=int, default=None,
-                        help="override |D| (default: value-set size formula)")
         sp.set_defaults(fn=fn)
 
     # every suite flag stays a raw string (None when absent) and goes through
     # the config parser, so it overrides the file's value only when given
     sp = sub.add_parser("suite", help="run verification suites over a grid")
     sp.add_argument("--config", help="key=value config file; flags override its values")
-    for key, (_, _, help_) in _SETTINGS.items():
+    for key, (_, help_) in _SETTINGS.items():
         sp.add_argument(f"--{key}", help=help_.format_map(ExperimentConfig._field_defaults))
 
     return ap

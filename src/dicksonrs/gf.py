@@ -199,12 +199,11 @@ class FiniteField:
         q = p**m
         if q > _Q_CAP:
             raise ValueError(f"q = p^m = {q} exceeds the supported cap 2^32")
-        if modulus is None:
-            modulus = _default_modulus(p, m)
-        modulus = tuple(c % p for c in modulus)
+        given = modulus is not None  # the default modulus is irreducible by construction
+        modulus = tuple(c % p for c in modulus) if given else _default_modulus(p, m)
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree m (low-to-high coefficients)")
-        if m > 1 and not _is_irreducible(list(modulus), p):
+        if given and m > 1 and not _is_irreducible(list(modulus), p):
             raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
         self.p = p
         self.m = m

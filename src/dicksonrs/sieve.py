@@ -29,9 +29,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 from math import ceil, factorial, log2, sqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .charsum import AdditiveCharacter, _psi_table
+if TYPE_CHECKING:  # charsum loads only where sieve_identity_F runs
+    from .charsum import AdditiveCharacter
 
 __all__ = [
     "DIRECT_MAX_D",
@@ -156,6 +157,8 @@ def sieve_identity_F(evalset, psi: AdditiveCharacter, k: int) -> tuple[complex, 
     The signs give each cycle type its (-1)^(k - #cycles), since k - #cycles
     = sum_l (l-1) c_l.  Small instances only: |D| <= DIRECT_MAX_D and k <= 5.
     """
+    from .charsum import _psi_table
+
     elems = evalset.elems
     F = psi.field
     if len(elems) > DIRECT_MAX_D or not 1 <= k <= 5:

@@ -1,5 +1,5 @@
 """CLI behaviour: every documented example runs, reports are deterministic
-and schema-valid, configs round-trip."""
+and schema-valid, config text parses into every setting."""
 
 import json
 import re
@@ -197,7 +197,10 @@ def test_unknown_suite_rejected():
         run_suite(cfg)
 
 
-def test_config_roundtrip():
+def test_config_from_text():
+    # one line per setting, so every setting's parser is pinned
+    text = ("field=2^4\nsuites=valueset,deephole\nn=2..4\na=1,3\nk=1,2\nc1=0.02\n"
+            "format=csv\nbudget-subsets=12345\nbudget-dp=54321\nout=report.csv\n")
     cfg = ExperimentConfig(
         field="2^4",
         suites=("valueset", "deephole"),
@@ -205,15 +208,14 @@ def test_config_roundtrip():
         a=(1, 3),
         k=(1, 2),
         c1=0.02,
+        out="report.csv",
         format="csv",
         budget_subsets=12345,
         budget_dp=54321,
     )
-    again = ExperimentConfig.from_text(cfg.to_text())
-    assert again == cfg
-    # 'all' sentinel survives too
-    cfg = cfg._replace(a=None)
-    assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+    assert ExperimentConfig.from_text(text) == cfg
+    # 'all' is the sentinel None: every unit of the field
+    assert ExperimentConfig.from_text(text.replace("a=1,3", "a=all")) == cfg._replace(a=None)
 
 
 def test_config_rejects_garbage():
@@ -390,6 +392,21 @@ def test_missing_files_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "deephole --field 7 --n 2 --a 1 --k 1 --b1 3 --budget-subsets 1",
+    "deephole --field 7 --n 2 --a 1 --k 1 --all-b1 --budget-subsets 10000000",
+    "bound --field 2^8 --n 3 --k 3 --size-d 40 --a 2",
+    "bound --field 2^8 --n 3 --k 3 --size-d 40 --a 1",
+    "region --field 2^16 --n 3 --c1 0.015 --size-d 40000 --a 1",
+], ids=["budget-subsets", "budget-subsets-default", "bound-a", "bound-a-default", "region-a"])
+def test_flags_that_would_be_ignored_are_refused(argv, capsys):
+    # --budget-subsets caps only the crosscheck, --a only picks D for the
+    # size formula; a value equal to the default counts as given too
+    assert _exit_status(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.search("needs --brute-force|not allowed with", captured.err)
+
+
 def test_value_set_formula_rejects_elems(capsys):
     argv = ["value-set", "--field", "7", "--n", "2", "--a", "1", "--formula", "--elems"]
     assert main(argv) == 2
@@ -408,6 +425,16 @@ def test_cli_import_leaves_module_unloaded(module, fresh_python):
     assert fresh_python(code) == "False"
 
 
+def _loads_after(fresh_python, argv: str, module: str) -> bool:
+    """Whether `main(argv)` in a fresh interpreter leaves `module` loaded."""
+    code = ("import contextlib, io, sys; from dicksonrs.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    main({argv.split()!r})\n"
+            f"print({module!r} in sys.modules)")
+    return fresh_python(code) == "True"
+
+
 @pytest.mark.parametrize("argv", [
     "deephole --field 2^4 --n 3 --a 1 --k 2 --all-b1",
     "region --field 2^8 --n 3 --c1 0.015",
@@ -416,12 +443,24 @@ def test_cli_import_leaves_module_unloaded(module, fresh_python):
 ])
 def test_size_d_runs_leave_fractions_unloaded(argv, fresh_python):
     # |D| is an integer rule; only the value-set report builds Fractions
-    code = ("import contextlib, io, sys; from dicksonrs.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()), "
-            "contextlib.redirect_stderr(io.StringIO()):\n"
-            f"    main({argv.split()!r})\n"
-            "print('fractions' in sys.modules)")
-    assert fresh_python(code) == "False"
+    assert not _loads_after(fresh_python, argv, "fractions")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ("bound --field 2^8 --n 3 --k 3", False),
+    ("region --field 2^8 --n 3 --c1 0.015", False),
+    ("suite --field 2^4 --suites region --n 2..3 --a 1", False),
+    ("suite --field 2^4 --suites sieve --n 2..3 --a 1", True),
+])
+def test_only_the_sieve_identity_loads_charsum(argv, loaded, fresh_python):
+    # sieve imports charsum's character table inside sieve_identity_F
+    assert _loads_after(fresh_python, argv, "dicksonrs.charsum") is loaded
+
+
+def test_suite_names_agree_everywhere():
+    schema = json.loads(SCHEMA.read_text())
+    names = schema["properties"]["suites"]["items"]["properties"]["name"]["enum"]
+    assert cli.SUITE_NAMES == tuple(cli._SUITE_RUNNERS) == tuple(names)
 
 
 def test_charsum_suite_keeps_one_preimage_weights_entry():

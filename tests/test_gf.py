@@ -150,6 +150,25 @@ def test_field_create_deterministic():
     assert FiniteField(3, 3) == FiniteField(3, 3)
 
 
+def test_only_a_given_modulus_is_tested_for_irreducibility(monkeypatch):
+    # the default modulus comes out of the irreducibility search itself
+    calls, original = [], gf._is_irreducible
+
+    def counted(f, p):
+        calls.append(f)
+        return original(f, p)
+
+    FiniteField(2, 16)  # the search, cached from here on
+    monkeypatch.setattr(gf, "_is_irreducible", counted)
+    assert FiniteField(2, 16).modulus == gf._default_modulus(2, 16)
+    assert calls == []
+    assert FiniteField(2, 16, gf._default_modulus(2, 16)) == FiniteField(2, 16)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="reducible"):
+        FiniteField(2, 2, [0, 0, 1])  # t^2
+    assert calls[-1] == [0, 0, 1]
+
+
 def test_bad_field_parameters():
     with pytest.raises(ValueError):
         FiniteField(6, 1)  # composite p
