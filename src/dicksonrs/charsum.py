@@ -49,7 +49,7 @@ from itertools import compress, islice
 from math import sqrt
 from typing import NamedTuple
 
-from .dickson import DicksonSpec, EvaluationSet, preimage_count, values_vector
+from .dickson import DicksonSpec, EvaluationSet, preimage_counts, values_vector
 from .gf import FiniteField
 
 __all__ = [
@@ -222,7 +222,7 @@ def _weil3_shift_tables(field: FiniteField, a: int):
 @lru_cache(maxsize=1)  # keyed per cell, whose `CellSums.weights` keeps its own copy
 def _preimage_weights(spec: DicksonSpec) -> tuple[float, ...]:
     """1/N_x for every x, with N_x from the preimage-count formula."""
-    return tuple(1.0 / preimage_count(spec, x).count for x in spec.field.elements())
+    return tuple(1.0 / rep.count for rep in preimage_counts(spec, spec.field.elements()))
 
 
 class CellSums:

@@ -1,7 +1,8 @@
 """Command-line driver and reproducible experiment suites.
 
 Subcommands: field, value-set, preimage, charsum, deephole, bound, region,
-suite.  Every command emits JSON (canonical key order); `suite` can also
+suite.  Every command emits JSON, exactly the bytes of
+json.dumps(doc, sort_keys=True, indent=2) plus a newline; `suite` can also
 emit CSV with one row per grid instance.  There is no randomness anywhere
 in the core, so a given invocation always produces byte-identical output.
 
@@ -25,8 +26,11 @@ import io
 import json
 import sys
 import time
+from functools import partial
 from itertools import product
+from json.encoder import encode_basestring_ascii as _json_str
 from math import comb, factorial, perm
+from operator import itemgetter
 from typing import NamedTuple
 
 # `charsum` and `sieve` are imported by the handlers and suite runners that
@@ -34,7 +38,7 @@ from typing import NamedTuple
 from . import __version__
 from .dickson import (
     DicksonSpec,
-    preimage_count,
+    preimage_counts,
     value_counts,
     value_set,
     value_set_size,
@@ -251,11 +255,9 @@ def _run_valueset(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
 def _run_preimage(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     out = []
     for params, spec, counts in _cells(cfg, F, out, value_counts):
-        bad = []
-        for x0 in F.elements():
-            rep = preimage_count(spec, x0)
-            if rep.count != counts[rep.value]:
-                bad.append((x0, rep.count, counts[rep.value]))
+        bad = [(x0, count, counts[value])
+               for x0, value, count, _ in preimage_counts(spec, F.elements())
+               if count != counts[value]]
         detail = f"{F.q} points"
         if bad:
             x0, got, want = bad[0]
@@ -494,7 +496,63 @@ def emit(report: RunReport, fmt: str) -> str:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) plus a newline, byte for byte.
+
+    An indent makes json.dumps run its pure-Python encoder, so lists of flat
+    records (str keys, one key set, one exact scalar type per column) are
+    written here column by column through C-level maps, one %-template per list.
+    """
+    return _json_text(obj, "\n") + "\n"
+
+
+_JSON_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(col):
+    reprs = list(map(float.__repr__, col))
+    return map(_JSON_FLOAT_WORDS.get, reprs, reprs)
+
+
+# exact type -> its column's texts as json.dumps writes them (bool is not int)
+_JSON_COLUMN = {
+    str: partial(map, _json_str),
+    int: partial(map, int.__repr__),
+    float: _json_floats,
+    bool: partial(map, {True: "true", False: "false"}.__getitem__),
+    type(None): partial(map, {None: "null"}.__getitem__),
+}
+
+
+def _json_text(obj, pad: str) -> str:
+    """obj's json.dumps text, each line break followed by pad ("\n" + indent);
+    dicts with str keys recurse, and what is neither that nor a list of flat
+    records is json.dumps's own text (escaped JSON holds no raw newline)."""
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        inner = pad + "  "
+        return "{" + ",".join(f"{inner}{_json_str(k)}: {_json_text(v, inner)}"
+                              for k, v in sorted(obj.items())) + pad + "}"
+    if type(obj) is list and (text := _json_records(obj, pad)) is not None:
+        return text
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
+
+
+def _json_records(rows: list, pad: str) -> str | None:
+    """The text of a list of flat records, column by column; None for any other list."""
+    if not rows or set(map(type, rows)) != {dict} or not (first := rows[0].keys()):
+        return None
+    if any(type(k) is not str for k in first) or not all(map(first.__eq__, map(dict.keys, rows))):
+        return None
+    keys, cols = sorted(first), []
+    for k in keys:
+        types = set(map(type, map(itemgetter(k), rows)))
+        column = _JSON_COLUMN.get(types.pop()) if len(types) == 1 else None
+        if column is None:
+            return None
+        cols.append(column(map(itemgetter(k), rows)))
+    inner, field = pad + "  ", pad + "    "
+    row = inner + "{" + ",".join(field + _json_str(k).replace("%", "%%") + ": %s"
+                                 for k in keys) + inner + "}"
+    return "[" + ",".join(map(row.__mod__, zip(*cols))) + pad + "]"
 
 
 def _write_output(text: str, out_path: str | None):
@@ -536,10 +594,8 @@ def _cmd_value_set(args, F: FiniteField) -> tuple[dict, bool]:
 def _cmd_preimage(args, F: FiniteField) -> tuple[dict, bool]:
     spec = DicksonSpec(F, args.n, args.a)
     xs = F.elements() if args.all_x0 else [args.x0]
-    reports = [
-        {"x0": rep.x0, "value": rep.value, "count": rep.count, "case": rep.case_label}
-        for rep in (preimage_count(spec, x0) for x0 in xs)
-    ]
+    reports = [{"x0": x0, "value": value, "count": count, "case": case}
+               for x0, value, count, case in preimage_counts(spec, xs)]
     return {"q": F.q, "n": args.n, "a": args.a, "reports": reports}, True
 
 

@@ -10,9 +10,10 @@ are the tests' independent cross-check.
 
 The two counting results implemented here, both exact:
 
-  * preimage_count - the size of D_n^{-1}(D_n(x0, a)), by case analysis on
-    the splitting of z^2 + x0*z + a (even q) or on the quadratic character
-    of x0^2 - 4a (odd q);
+  * preimage_counts - the size of D_n^{-1}(D_n(x0, a)) for each x0 of a
+    batch, by case analysis on the splitting of z^2 + x0*z + a (even q) or
+    on the quadratic character of x0^2 - 4a (odd q), with the values from
+    one recurrence pass; preimage_count is its one-point case;
   * value_set_size - |{D_n(x, a) : x in F_q}| as two gcd terms plus a
     correction delta in {0, 1/2, 1}, added doubled, in integers.
 
@@ -25,6 +26,7 @@ even n and is what exhaustive verification confirms for odd n.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
@@ -38,6 +40,7 @@ __all__ = [
     "ValueSetReport",
     "dickson_eval",
     "preimage_count",
+    "preimage_counts",
     "value_counts",
     "value_set",
     "value_set_size",
@@ -164,20 +167,10 @@ def value_set_size_formula(spec: DicksonSpec) -> ValueSetReport:
                           terms=(Fraction(t1, 2), Fraction(t2, 2)))
 
 
-def _pm_two_a_half(field: FiniteField, n: int, a: int, value: int) -> bool:
-    """Does value lie in {y : y^2 = 4*a^n}, i.e. value = +-2*a^(n/2)?
-
-    For even n this is exactly the direct comparison with 2*a^(n/2); for
-    odd n it asks whether a^n has a square root s in the field with
-    value = +-2s (vacuously false when a^n is a non-square).
-    """
-    lhs = field.mul(value, value)
-    rhs = field.mul(field.from_int(4), field.pow(a, n))
-    return lhs == rhs
-
-
-def preimage_count(spec: DicksonSpec, x0: int) -> PreimageReport:
-    """|D_n^{-1}(D_n(x0, a))| from the exact case analysis.
+def preimage_counts(spec: DicksonSpec, xs: Sequence[int]) -> Iterator[PreimageReport]:
+    """Yield |D_n^{-1}(D_n(x0, a))| for each x0 of the sequence xs, in order,
+    from the exact case analysis; the checks (formula domain, then every x0)
+    run when iteration starts.
 
     case_label records the branch that fired:
       even q: A (splitting quadratic), B (irreducible quadratic), zero-even;
@@ -185,38 +178,46 @@ def preimage_count(spec: DicksonSpec, x0: int) -> PreimageReport:
     """
     spec._require_formula_domain()
     F, n, a = spec.field, spec.n, spec.a
-    F._check(x0)
+    for x0 in xs:
+        F._check(x0)
     q = F.q
     g1, g2 = gcd(n, q - 1), gcd(n, q + 1)
-    value = dickson_eval(spec, x0)
+    add, mul = F.kernels()
+    values = _eval_recurrence(F, n, a, xs)
 
     if q % 2 == 0:
-        if value == 0:
-            return PreimageReport(x0, value, (g1 + g2) // 2, "zero-even")
-        # value != 0 forces x0 != 0 (D_n(0, a) = +-2a^(n/2) = 0 in char 2),
-        # so Tr(a / x0^2) is well defined; z^2 + x0 z + a splits iff it is 0
-        split = F.trace(F.mul(a, F.inv(F.mul(x0, x0)))) == 0
-        if split:
-            return PreimageReport(x0, value, g1, "A")
-        return PreimageReport(x0, value, g2, "B")
+        for x0, value in zip(xs, values):
+            if value == 0:
+                yield PreimageReport(x0, value, (g1 + g2) // 2, "zero-even")
+            # value != 0 forces x0 != 0 (D_n(0, a) = +-2a^(n/2) = 0 in char 2),
+            # so Tr(a / x0^2) is well defined; z^2 + x0 z + a splits iff it is 0
+            elif F.trace(mul(a, F.pow(x0, -2))) == 0:
+                yield PreimageReport(x0, value, g1, "A")
+            else:
+                yield PreimageReport(x0, value, g2, "B")
+        return
 
-    eta = F.quad_char(F.sub(F.mul(x0, x0), F.mul(F.from_int(4), a)))
-    on_boundary = _pm_two_a_half(F, n, a, value)
-    if eta == 1 and not on_boundary:
-        return PreimageReport(x0, value, g1, "eta-plus")
-    if eta == -1 and not on_boundary:
-        return PreimageReport(x0, value, g2, "eta-minus")
+    two, four = F.from_int(2), F.from_int(4)
+    neg_four_a, four_a_n = F.neg(mul(four, a)), mul(four, F.pow(a, n))
+    # off the boundary value^2 = 4a^n the eta cases decide; on it, condition C
+    # holds for every value, or only for -2a^(n/2) (n is even then), or never
+    val, chi_a = two_adic(q, n), F.quad_char(a)
+    c_always = 1 <= val.t <= val.r - 1 and chi_a == -1
+    c_value = F.neg(mul(two, F.pow(a, n // 2))) if 1 <= val.t <= val.r - 2 and chi_a == 1 else None
+    for x0, value in zip(xs, values):
+        eta = F.quad_char(add(mul(x0, x0), neg_four_a))
+        if eta == 0:
+            yield PreimageReport(x0, value, (g1 + g2) // 2, "otherwise")
+        elif mul(value, value) != four_a_n:
+            yield (PreimageReport(x0, value, g1, "eta-plus") if eta == 1
+                   else PreimageReport(x0, value, g2, "eta-minus"))
+        elif c_always or value == c_value:
+            yield (PreimageReport(x0, value, g1 // 2, "C-plus") if eta == 1
+                   else PreimageReport(x0, value, g2 // 2, "C-minus"))
+        else:
+            yield PreimageReport(x0, value, (g1 + g2) // 2, "otherwise")
 
-    val = two_adic(q, n)
-    cond_c = False
-    if 1 <= val.t <= val.r - 1 and F.quad_char(a) == -1 and on_boundary:
-        cond_c = True
-    elif 1 <= val.t <= val.r - 2 and F.quad_char(a) == 1:
-        # n is even here (t >= 1), so a^(n/2) is direct
-        minus = F.neg(F.mul(F.from_int(2), F.pow(a, n // 2)))
-        cond_c = value == minus
-    if eta == 1 and cond_c:
-        return PreimageReport(x0, value, g1 // 2, "C-plus")
-    if eta == -1 and cond_c:
-        return PreimageReport(x0, value, g2 // 2, "C-minus")
-    return PreimageReport(x0, value, (g1 + g2) // 2, "otherwise")
+
+def preimage_count(spec: DicksonSpec, x0: int) -> PreimageReport:
+    """`preimage_counts` at the one point x0."""
+    return next(preimage_counts(spec, (x0,)))

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dicksonrs
 from dicksonrs import charsum, cli, sieve
@@ -233,6 +235,63 @@ def test_suite_report_deterministic(tmp_path):
         rc = main(["suite", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
         assert rc == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# --- the report writer: json.dumps(obj, sort_keys=True, indent=2) is its oracle
+
+
+def _reference_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+@st.composite
+def _record_lists(draw):
+    """Lists of records, most of them flat: one key set and one value type
+    per column; the columns that draw from all scalars may mix types."""
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    kinds = [st.none(), st.booleans(), st.integers(), st.floats(), st.text(), _SCALARS]
+    cols = {k: draw(st.sampled_from(kinds)) for k in keys}
+    return draw(st.lists(st.fixed_dictionaries(cols), min_size=1, max_size=5))
+
+
+_JSON_VALUES = st.recursive(
+    _SCALARS | _record_lists(),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.text(max_size=3), kids, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_dump_json_matches_json_dumps(obj):
+    assert cli._dump_json(obj) == _reference_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [{"a%s": 1, "%": "50%", "%%(x)s": 2}, {"a%s": 3, "%": "%d", "%%(x)s": 4}],
+    {"r": [{"s": "\u00e9\u2028\x00\n\t\"\\\U0001f600"}, {"s": "\x7f\x1f"}]},
+    [{"n": 10**40, "m": -(2**70)}, {"n": -1, "m": 0}],
+    [{"f": float("nan")}, {"f": float("inf")}, {"f": float("-inf")}, {"f": -0.0}, {"f": 1e300}],
+    [{"v": True}, {"v": 1}],
+    [{"v": 1}, {"v": 1.0}],
+    [{"v": None, "w": False}, {"v": None, "w": True}],
+    [], {}, [{}], [{}, {}], {"a": [], "b": {}}, [[]],
+    [{"a": 1}, {"b": 2}],
+    [{"a": 1}, {"a": 1, "b": 2}],
+    {2: "x", 10: "y"},
+    [{1: 2}, {1: 3}],
+    {"r": {3: 1, 1: 2}, "s": [{"k": 1}]},
+    {"t": (1, 2)}, [(1, 2)], ("a", {"b": [{"c": 1}]}),
+    [{"x": [1]}, {"x": [2]}],
+    [{"x": 1}, [1]],
+    "text", 7, None, 2.5,
+], ids=lambda obj: repr(obj)[:40])
+def test_dump_json_matches_json_dumps_on_edge_cases(obj):
+    assert cli._dump_json(obj) == _reference_json(obj)
 
 
 def test_suite_json_validates_against_schema(tmp_path):
@@ -589,10 +648,17 @@ def test_over_budget_word_fails_before_interpolating(source, monkeypatch, capsys
 
 
 def test_preimage_all_x0_obeys_the_enumeration_budget(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "preimage_count", _refuse)
+    monkeypatch.setattr(cli, "preimage_counts", _refuse)
     assert main(["preimage", "--field", "2^21", "--n", "3", "--a", "1", "--all-x0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "enumeration budget" in captured.err
+
+
+def test_preimage_reports_the_formula_domain_before_the_point(capsys):
+    # n = 1 is outside the formulas' domain and 9 is outside F_7: the domain wins
+    assert main(["preimage", "--field", "7", "--n", "1", "--a", "1", "--x0", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "counting formulas require" in captured.err
 
 
 # 3^13 = 1,594,323 and 2^21 both exceed the budget 2^20; lemma and identity,
@@ -732,13 +798,13 @@ def test_deephole_suite_reports_a_wrong_n_u_total(monkeypatch):
 
 
 def test_preimage_suite_reports_the_first_wrong_count(monkeypatch):
-    real = cli.preimage_count
+    real = cli.preimage_counts
 
-    def off_at_3(spec, x0):
-        rep = real(spec, x0)
-        return rep._replace(count=rep.count + 1) if x0 == 3 else rep
+    def off_at_3(spec, xs):
+        for rep in real(spec, xs):
+            yield rep._replace(count=rep.count + 1) if rep.x0 == 3 else rep
 
-    monkeypatch.setattr(cli, "preimage_count", off_at_3)
+    monkeypatch.setattr(cli, "preimage_counts", off_at_3)
     cfg = ExperimentConfig(field="7", suites=("preimage",), n=(2,), a=(1,))
     inst = _one_suite_instance(cfg)
     assert inst.status == "fail"

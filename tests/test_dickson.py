@@ -16,7 +16,9 @@ from dicksonrs import (
     FiniteField,
     Polynomial,
     dickson_eval,
+    parse_field_spec,
     preimage_count,
+    preimage_counts,
     value_counts,
     value_set,
     value_set_size,
@@ -226,6 +228,36 @@ def test_preimage_examples(grid_fields):
 
     rep = preimage_count(DicksonSpec(grid_fields[4], 3, 1), 0)
     assert (rep.count, rep.case_label) == (2, "zero-even")
+
+
+# (field, n, a) cells that between them fire all eight case labels
+_LABEL_CELLS = [("2^3", 3, 1), ("2^4", 3, 1), ("2^5", 3, 1), ("5^3", 4, 3), ("3^4", 8, 2),
+                ("13", 6, 5)]
+
+
+def test_preimage_counts_match_enumeration_and_fire_every_label():
+    labels = set()
+    for field, n, a in _LABEL_CELLS:
+        F = parse_field_spec(field)
+        spec = DicksonSpec(F, n, a)
+        counts = value_counts(spec)
+        reps = list(preimage_counts(spec, F.elements()))
+        assert [rep.x0 for rep in reps] == list(F.elements())
+        for rep in reps:
+            assert rep.value == dickson_eval(spec, rep.x0)
+            assert rep.count == counts[rep.value]
+            assert rep == preimage_count(spec, rep.x0) == next(preimage_counts(spec, [rep.x0]))
+        labels |= {rep.case_label for rep in reps}
+    assert labels == {"A", "B", "zero-even", "eta-plus", "eta-minus", "C-plus", "C-minus",
+                      "otherwise"}
+
+
+def test_preimage_counts_check_the_domain_before_any_point():
+    F = FiniteField(7)
+    with pytest.raises(ValueError, match="counting formulas"):
+        next(preimage_counts(DicksonSpec(F, 1, 1), [9]))
+    with pytest.raises(ValueError, match="9 is not an element"):
+        next(preimage_counts(DicksonSpec(F, 2, 1), [1, 9]))
 
 
 def test_preimage_even_q_case_labels(grid_fields):
