@@ -11,14 +11,21 @@ FiniteField object it belongs to; 0 and 1 always encode the additive and
 multiplicative identities.  Keeping elements unboxed makes exhaustive scans
 over small fields cheap, which is what most of this package does.
 
-Every value a field derives (the exp/log tables, the kernels, the trace
-basis and table, the primitive element) is a cached property, built on
-first read.  Extension fields with q <= 2^16 get exp/log tables over the
-primitive element g, so mul/inv/pow are O(1) lookups.  The build treats
-multiplication by g as an F_p-linear map: two half-tables give g times
-the low and the high digits, and the q-2 steps add them on a bit-sliced
-digit vector, with no polynomial product per element.  Larger fields (up
-to q <= 2^32) use direct polynomial arithmetic modulo the modulus.
+One direct product works on encodings: `_ring_mul(p, f)` gives x*y mod f
+for any monic f, by a shift-and-xor loop in characteristic 2 and, for odd
+p, by one int product of the digits packed into wide bit slots (Kronecker
+substitution).  The default-modulus search runs Rabin's test on it, and
+each field takes it, for its own modulus, as `_mul_direct`.
+
+Every value a field derives (the direct product, the exp/log tables, the
+kernels, the trace basis and table, the primitive element) is a cached
+property, built on first read.  Extension fields with q <= 2^16 get
+exp/log tables over the primitive element g, so mul/inv/pow are O(1)
+lookups.  The build treats multiplication by g as an F_p-linear map: two
+half-tables of direct products give g times the low and the high digits,
+and the q-2 steps add them on a bit-sliced digit vector, with no
+polynomial product per element.  Larger fields (up to q <= 2^32) multiply
+and power with the direct product, as the primitive-element search does.
 
 `FiniteField.kernels()` holds the only add and mul: unchecked closures
 (odd-characteristic extensions under the table cap add through Zech
@@ -30,9 +37,9 @@ identities on the modulus), tabulated under the cap, and `quad_char` is
 Euler's criterion x^((q-1)/2) through `pow`.
 
 The default modulus is the smallest monic irreducible f of degree m, by
-Rabin's test with a unit test for its gcd step.  Once x^(p^m) = x mod f,
-f divides the squarefree x^(p^m) - x, so GF(p)[x]/(f) is a product of
-fields GF(p^d) with d | m.  h = x^(p^(m/ell)) - x is zero exactly in the
+Rabin's test with a unit test for its gcd step.  Once t^(p^m) = t mod f,
+f divides the squarefree t^(p^m) - t, so GF(p)[t]/(f) is a product of
+fields GF(p^d) with d | m.  h = t^(p^(m/ell)) - t is zero exactly in the
 factors with d | m/ell, so f is irreducible iff, for every prime ell | m,
 h is a unit, i.e. h^(p^m - 1) = 1 mod f (a unit's order divides p^m - 1).
 """
@@ -75,68 +82,72 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# --- dense polynomial helpers over GF(p), used for irreducibility testing
-# and as the multiplication fallback for odd-characteristic extensions.
-# Polynomials are lists of ints (low-to-high), not necessarily trimmed.
+def _ring_mul(p: int, f):
+    """The product (x, y) -> x*y mod f on base-p encodings, for any monic f
+    over GF(p) (coefficients low-to-high), irreducible or not."""
+    m = len(f) - 1
+    if p == 2:
+        top, mod = 1 << m, sum(c << i for i, c in enumerate(f))
+
+        def mul(x, y):
+            r = 0
+            while y:
+                if y & 1:
+                    r ^= x
+                y >>= 1
+                x <<= 1
+                if x & top:
+                    x ^= mod
+            return r
+
+        return mul
+    # Kronecker substitution: digit i moves to bits [s*i, s*(i+1)), so one int
+    # product multiplies the polynomials.  Slot k >= m is cleared top-down by
+    # adding its digit times -f mod p at slot k-m; every slot stays below
+    # (2m-1)(p-1)^2 < 2^s, and the digits are the slots mod p.
+    s = ((2 * m - 1) * (p - 1) ** 2).bit_length()
+    mask = (1 << s) - 1
+    digits = [(p**i, s * i) for i in range(m)]
+    neg_f = sum(-c % p << j for c, (_, j) in zip(f, digits))
+    tops = [(s * k, s * (k - m)) for k in range(2 * m - 2, m - 1, -1)]
+
+    def pack(x):
+        return sum(x // e % p << j for e, j in digits)
+
+    def mul(x, y):
+        z = pack(x) * pack(y)
+        for k, j in tops:
+            z += (z >> k & mask) % p * neg_f << j
+        return sum((z >> j & mask) % p * e for e, j in digits)
+
+    return mul
 
 
-def _ptrim(u: list[int]) -> list[int]:
-    while u and u[-1] == 0:
-        u.pop()
-    return u
-
-
-def _pmul(u: list[int], v: list[int], p: int) -> list[int]:
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                out[i + j] = (out[i + j] + ui * vj) % p
-    return _ptrim(out)
-
-
-def _pmod(u: list[int], f: list[int], p: int) -> list[int]:
-    # f monic
-    u = list(u)
-    df = len(f) - 1
-    while len(u) > df:
-        c = u[-1]
-        if c:
-            off = len(u) - 1 - df
-            for i in range(df):
-                u[off + i] = (u[off + i] - c * f[i]) % p
-        u.pop()
-    return _ptrim(u)
-
-
-def _ppowmod(u: list[int], e: int, f: list[int], p: int) -> list[int]:
-    r = [1]
-    b = _pmod(u, f, p)
+def _powmod(mul, x: int, e: int) -> int:
+    r = 1
     while e:
         if e & 1:
-            r = _pmod(_pmul(r, b, p), f, p)
-        b = _pmod(_pmul(b, b, p), f, p)
+            r = mul(r, x)
+        x = mul(x, x)
         e >>= 1
     return r
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
     """Rabin's test for a monic f over GF(p), its gcd step a unit test:
-    h^(p^m - 1) = 1 mod f for h = x^(p^(m/ell)) - x (see the module doc)."""
+    h^(p^m - 1) = 1 mod f for h = t^(p^(m/ell)) - t (see the module doc)."""
     m = len(f) - 1
     if m < 1 or f[-1] != 1:
         return False
     if m == 1:
         return True
-    x = [0, 1]
-    if _ppowmod(x, p**m, f, p) != x:
+    mul = _ring_mul(p, f)  # t is encoded as p
+    if _powmod(mul, p, p**m) != p:
         return False
     for ell in _prime_factors(m):
-        h = _ppowmod(x, p ** (m // ell), f, p) + [0, 0]
-        h[1] = (h[1] - 1) % p
-        if _ppowmod(h, p**m - 1, f, p) != [1]:
+        h = _powmod(mul, p, p ** (m // ell))
+        h += -p if h // p % p else (p - 1) * p  # digit 1 lowers by one, mod p
+        if _powmod(mul, h, p**m - 1) != 1:
             return False
     return True
 
@@ -209,8 +220,6 @@ class FiniteField:
         self.m = m
         self.q = q
         self.modulus = modulus
-        # int encoding of the modulus for the characteristic-2 bit path
-        self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
         self._ppow = [p**i for i in range(m + 1)]
 
     # -- identity / representation ------------------------------------
@@ -230,10 +239,8 @@ class FiniteField:
         return f"FiniteField({self.spec_string()!r})"
 
     def spec_string(self) -> str:
-        """Wire form "p^m" (default modulus) or "p^m/c0,c1,...,cm"."""
-        if self.m == 1:
-            return str(self.p)
-        base = f"{self.p}^{self.m}"
+        """Wire form "p" or "p^m" (default modulus), else that plus "/c0,c1,...,cm"."""
+        base = str(self.p) if self.m == 1 else f"{self.p}^{self.m}"
         if self.modulus == _default_modulus(self.p, self.m):
             return base
         return base + "/" + ",".join(str(c) for c in self.modulus)
@@ -311,7 +318,7 @@ class FiniteField:
         if self.q <= _TABLE_Q_CAP:
             exp, log = self._tables
             return exp[(log[x] * e) % (self.q - 1)]
-        return self._pow_direct(x, e)
+        return _powmod(self._mul_direct, x, e)
 
     def kernels(self):
         """(add, mul) on element encodings, without range checks.
@@ -367,10 +374,9 @@ class FiniteField:
 
     @_cached
     def _primitive(self) -> int:
-        q = self.q
-        power = self._pow_direct if self.m > 1 else (lambda x, e: pow(x, e, q))
+        q, mul = self.q, self._mul_direct
         cofactors = [(q - 1) // ell for ell in _prime_factors(q - 1)]
-        return next(c for c in self.units() if all(power(c, e) != 1 for e in cofactors))
+        return next(c for c in self.units() if all(_powmod(mul, c, e) != 1 for e in cofactors))
 
     def _add_digits(self, x: int, y: int) -> int:
         p, out, ppow = self.p, 0, self._ppow
@@ -378,22 +384,9 @@ class FiniteField:
             out += ((x // ppow[i] + y // ppow[i]) % p) * ppow[i]
         return out
 
-    def _mul_direct(self, x: int, y: int) -> int:
-        if self.p == 2:
-            m, mod = self.m, self._mod_int
-            r = 0
-            while y:
-                if y & 1:
-                    r ^= x
-                y >>= 1
-                x <<= 1
-                if (x >> m) & 1:
-                    x ^= mod
-            return r
-        u = list(self.decode(x))
-        v = list(self.decode(y))
-        w = _pmod(_pmul(u, v, self.p), list(self.modulus), self.p)
-        return self.encode(w)
+    @_cached
+    def _mul_direct(self):
+        return _ring_mul(self.p, self.modulus)
 
     def _build_tables(self) -> tuple[list[int], list[int]]:
         """(exp, log) over g = `primitive_element()`; exp is stored twice over.
@@ -447,15 +440,6 @@ class FiniteField:
         return exp * 2, log
 
     _tables = _cached(_build_tables)
-
-    def _pow_direct(self, x: int, e: int) -> int:
-        r, b = 1, x
-        while e:
-            if e & 1:
-                r = self._mul_direct(r, b)
-            b = self._mul_direct(b, b)
-            e >>= 1
-        return r
 
     # -- field invariants used throughout ------------------------------
 

@@ -26,6 +26,7 @@ silently deciding them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import permutations
 from math import ceil, factorial, log2, sqrt
@@ -268,7 +269,7 @@ class RegionSpec(NamedTuple):
 # Reference endpoints for the q = 2^16, n = 3, c1 = 0.015 worked example,
 # reported alongside our own computation for comparison.  The reference
 # gate value 640 does not match (n+1)/2*sqrt(q) = 512 for n = 3, and at
-# c1 = 0.015 the scan stops at 21167; both are surfaced with match flags.
+# c1 = 0.015 k_max is 21167; both are surfaced with match flags.
 # c1 = (n+2)*sqrt(q)/(2|D|) = 640/43691 reproduces both endpoints.
 _PUBLISHED_EXAMPLE = {"q": 65536, "n": 3, "c1": 0.015}
 _PUBLISHED_ENDPOINTS = {"k_min": 16, "k_max": 21182, "gate_lhs": 640.0}
@@ -278,10 +279,13 @@ def region_solve(q: int, n: int, size_d: int, c1: float) -> RegionSpec:
     """Message-length window for the not-a-deep-hole guarantee.
 
     Requires the gate (n+1)/2*sqrt(q) < c1*|D|.  k_min = ceil(log2 q);
-    k_max is the largest k with k < |D| * (q^(-1/(k+1)) - 1/2 - c1),
-    found by a monotone upward scan (k_max = k_min - 1 when even k_min
-    fails, i.e. the window is empty).  c2 is the binding constant
-    q^(-1/(k_max+1)) - 1/2 - c1.
+    k_max is the largest k with k < |D| * (q^(-1/(k+1)) - 1/2 - c1), the
+    end of the run of such k that starts at k_min (k_max = k_min - 1 when
+    even k_min fails, i.e. the window is empty).  The slack
+    |D| * (q^(-1/(k+1)) - 1/2 - c1) - k is concave once k + 1 > ln(q)/2,
+    which k_min is past, so the feasible k >= k_min form one interval:
+    k_max is found by doubling, then bisection.  c2 is the binding
+    constant q^(-1/(k_max+1)) - 1/2 - c1.
     """
     gate_lhs = (n + 1) / 2 * sqrt(q)
     gate_rhs = c1 * size_d
@@ -294,11 +298,10 @@ def region_solve(q: int, n: int, size_d: int, c1: float) -> RegionSpec:
     def feasible(k: int) -> bool:
         return k < size_d * (q ** (-1.0 / (k + 1)) - 0.5 - c1)
 
-    k_max = k_min - 1
-    k = k_min
-    while feasible(k):
-        k_max = k
-        k += 1
+    hi = k_min
+    while feasible(hi):
+        hi *= 2
+    k_max = k_min - 1 + bisect_left(range(k_min, hi), True, key=lambda k: not feasible(k))
     c2 = q ** (-1.0 / (k_max + 1)) - 0.5 - c1 if k_max >= k_min else 0.0
 
     claim = None

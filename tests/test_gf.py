@@ -181,7 +181,7 @@ def test_bad_field_parameters():
 
 
 def test_field_spec_roundtrip():
-    for spec in ["7", "2^4", "2^2/1,1,1", "3^2"]:
+    for spec in ["7", "2^4", "2^2/1,1,1", "3^2", "7/3,1"]:
         F = parse_field_spec(spec)
         assert parse_field_spec(F.spec_string()) == F
 
@@ -421,8 +421,11 @@ def test_two_adic_divides_exactly():
 
 # --- unchecked kernels ------------------------------------------------------
 
-# GF(2^20) is above the table cap, so its kernels take the direct paths
-_KERNEL_FIELDS = {pm: FiniteField(*pm) for pm in [(13, 1), (2, 8), (3, 5), (7, 2), (2, 20)]}
+# GF(2^20), GF(3^11) and GF(5^7) are above the table cap, so their kernels
+# take the direct paths
+_KERNEL_FIELDS = {
+    pm: FiniteField(*pm) for pm in [(13, 1), (2, 8), (3, 5), (7, 2), (2, 20), (3, 11), (5, 7)]
+}
 
 
 @pytest.mark.parametrize("pm", list(_KERNEL_FIELDS))
@@ -475,10 +478,10 @@ def test_tables_match_power_iteration(spec):
 @pytest.mark.parametrize("spec", ["7", "2^5", "3^3", "2^17", "3^11"])
 def test_derived_values_are_cached_properties_built_on_first_read(spec):
     F = parse_field_spec(spec)
-    derived = ("_tables", "_kernels", "_trace_basis", "_trace_tab", "_primitive")
+    derived = ("_mul_direct", "_tables", "_kernels", "_trace_basis", "_trace_tab", "_primitive")
     assert all(isinstance(vars(FiniteField)[name], functools.cached_property)
                for name in derived)
-    assert set(vars(F)) == {"p", "m", "q", "modulus", "_mod_int", "_ppow"}
+    assert set(vars(F)) == {"p", "m", "q", "modulus", "_ppow"}
     F.add(1, 1), F.trace(1), F.primitive_element()
     assert F.kernels() is vars(F)["_kernels"]
     assert F.primitive_element() is vars(F)["_primitive"]

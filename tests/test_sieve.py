@@ -10,6 +10,7 @@ from dicksonrs import (
     C_k_eval,
     C_k_periodic_bound,
     DicksonSpec,
+    FiniteField,
     char_eval,
     cycle_types,
     falling_factorial,
@@ -18,6 +19,7 @@ from dicksonrs import (
     region_solve,
     sieve_identity_F,
     value_set,
+    value_set_size,
 )
 
 # --- cycle types and permutation counts --------------------------------------
@@ -290,6 +292,24 @@ def _oracle_scan_k_max(q, size_d, c1, k_min):
         best = k
         k += 1
     return best
+
+
+# q = p^1 .. p^top at n = 2, 3, 4 (a = 1), c1 from 0.001 to 0.4 on a geometric
+# grid wherever the gate holds: empty windows and windows thousands of k wide
+@pytest.mark.parametrize("p, top", [(2, 18), (3, 11), (5, 7), (7, 6), (13, 4)])
+def test_region_k_max_matches_the_scan(p, top):
+    widths = []
+    for m in range(1, top + 1):
+        F = FiniteField(p, m)
+        for n in (2, 3, 4):
+            size_d = value_set_size(DicksonSpec(F, n, 1))
+            for c1 in [0.001 * 1.25**j for j in range(27)]:
+                if (n + 1) / 2 * sqrt(F.q) < c1 * size_d:
+                    region = region_solve(F.q, n, size_d, c1)
+                    oracle = _oracle_scan_k_max(F.q, size_d, c1, region.k_min)
+                    assert region.k_max == oracle, (F, n, c1)
+                    widths.append(region.k_max - region.k_min + 1)
+    assert min(widths) == 0 and max(widths) > 1
 
 
 def test_region_worked_example_endpoints():
