@@ -283,7 +283,7 @@ def _charsum_worst(cell, tab) -> tuple[float, float, float]:
 
 
 def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
-    from .charsum import TOL_IDENTITY, TOL_SLACK, CellSums, characters_by_powers
+    from .charsum import TOL_IDENTITY, TOL_SLACK, CellSums, character_sum, characters_by_powers
 
     out, cells = [], []
     for params, spec, D in _cells(cfg, F, out, value_set):
@@ -297,8 +297,8 @@ def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
             w_slack, w_dev, w_gap = worst[i]
             worst[i] = (min(w_slack, slack), max(w_dev, dev), max(w_gap, gap))
     for (slot, params, cell), (slack, dev, gap) in zip(cells, worst):
-        # the trivial character's lemma sum is exactly |D|
-        dev = max(dev, abs(cell.D.size - cell.weighted_trivial()))
+        # the trivial character, read as `charsum --which identity --b 0` reads it
+        dev = max(dev, character_sum("identity", cell, 0))
         ok = slack >= -TOL_SLACK and dev <= TOL_IDENTITY and gap <= TOL_IDENTITY
         detail = f"worst_slack={slack:.3e} identity_dev={dev:.3e}"
         if gap:
@@ -499,28 +499,14 @@ def _dump_json(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) plus a newline, byte for byte.
 
     An indent makes json.dumps run its pure-Python encoder, so lists of flat
-    records (str keys, one key set, one exact scalar type per column) are
-    written here column by column through C-level maps, one %-template per list.
+    records (str keys, one key set, each column all ints or all strs), such as
+    `preimage --all-x0`'s, are written column by column through C-level maps.
     """
     return _json_text(obj, "\n") + "\n"
 
 
-_JSON_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(col):
-    reprs = list(map(float.__repr__, col))
-    return map(_JSON_FLOAT_WORDS.get, reprs, reprs)
-
-
-# exact type -> its column's texts as json.dumps writes them (bool is not int)
-_JSON_COLUMN = {
-    str: partial(map, _json_str),
-    int: partial(map, int.__repr__),
-    float: _json_floats,
-    bool: partial(map, {True: "true", False: "false"}.__getitem__),
-    type(None): partial(map, {None: "null"}.__getitem__),
-}
+# exact type -> its column's texts as json.dumps writes them (a bool column is not int)
+_JSON_COLUMN = {str: partial(map, _json_str), int: partial(map, int.__repr__)}
 
 
 def _json_text(obj, pad: str) -> str:
@@ -537,7 +523,7 @@ def _json_text(obj, pad: str) -> str:
 
 
 def _json_records(rows: list, pad: str) -> str | None:
-    """The text of a list of flat records, column by column; None for any other list."""
+    """The text of a list of flat int/str records, column by column; None for any other list."""
     if not rows or set(map(type, rows)) != {dict} or not (first := rows[0].keys()):
         return None
     if any(type(k) is not str for k in first) or not all(map(first.__eq__, map(dict.keys, rows))):

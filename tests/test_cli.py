@@ -311,6 +311,12 @@ def test_suite_csv_header():
     assert len(lines) == 2  # header + the one instance
 
 
+def test_emit_rejects_an_unknown_format():
+    report = run_suite(ExperimentConfig(field="5", suites=("valueset",), n=(2,), a=(1,)))
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit(report, "xml")
+
+
 def test_suite_budget_skip_records():
     cfg = ExperimentConfig(
         field="7", suites=("deephole",), n=(2,), a=(1,), k=(1,), budget_dp=5
@@ -356,6 +362,14 @@ def test_region_suite_2_16_reports_k_min(tmp_path):
     assert len(instances) == 1 and instances[0].status == "pass"
     assert "k_min=16" in instances[0].detail
     assert "21182" in instances[0].detail  # the reference claim is echoed
+
+
+def test_region_suite_passes_an_empty_window():
+    # at c1 = 0.45 no k clears the gate: k_max = k_min - 1 is an outcome, not a failure
+    cfg = ExperimentConfig(field="2^8", suites=("region",), n=(3,), a=(1,), c1=0.45)
+    (inst,) = run_suite(cfg).suites[0].instances
+    assert inst.status == "pass"
+    assert inst.detail == "k_min=8 k_max=7 size_d=171 (empty window)"
 
 
 def test_config_budgets_survive_flagless_invocation(tmp_path):

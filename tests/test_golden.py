@@ -6,8 +6,9 @@ subset-sum table and the unchecked polyring kernels existed; the others
 without flag overrides, and one-shots for the remaining options) before
 the per-subcommand flag sets and the single config parser; the trivial
 twist's lemma report before the one-shot handlers returned their reports
-to `main`.  Any change to a decision, witness, count, float or key order
-shows up here.
+to `main`.  The two 2^3 suite CSVs were regenerated once the characteristic-2
+weighted sum became an `fsum`, which zeroed their charsum `identity_dev`s.
+Any change to a decision, witness, count, float or key order shows up here.
 
 `{golden}` in a command stands for this directory; a command with `--out`
 is compared through the file it writes.
