@@ -202,21 +202,18 @@ def _eta_vector(field: FiniteField, a: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)  # unbounded, as `_eta_vector`
 def _weil3_shift_tables(field: FiniteField, a: int):
-    """psi_Tr(a/x^2) and psi_Tr(a^(q/2)/x) for x in F_q^*, even q."""
+    """psi_Tr(a/x^2) and psi_Tr(a^(q/2)/x) for x in F_q^*, even q, in
+    encoding order.  One walk x = g^i carries a/x^2 and a^(q/2)/x along,
+    by g^-2 and g^-1: three products per unit and no inversion."""
     _, mul = field.kernels()
-    # 1/x for every unit from one inversion (Montgomery's trick): inv[x]
-    # first holds 1*2*...*(x-1), and r runs through 1/(1*2*...*x)
-    q, inv = field.q, [1] * field.q
-    for x in range(2, q):
-        inv[x] = mul(inv[x - 1], x - 1)
-    r = field.inv(mul(inv[-1], q - 1))
-    for x in range(q - 1, 0, -1):
-        inv[x], r = mul(r, inv[x]), mul(r, x)
-    tab1 = _psi_table(field, 1)
-    sqrt_a = field.pow(a, q // 2)
-    t_sq = tuple(tab1[mul(a, mul(inv[x], inv[x]))] for x in field.units())
-    t_lin = tuple(tab1[mul(sqrt_a, inv[x])] for x in field.units())
-    return t_sq, t_lin
+    q, g = field.q, field.primitive_element()
+    g_inv, g_inv2 = field.inv(g), field.inv(mul(g, g))
+    tab1, t_sq, t_lin = _psi_table(field, 1), [0] * (q - 1), [0] * (q - 1)
+    x, u, v = 1, a, field.pow(a, q // 2)
+    for _ in range(q - 1):
+        t_sq[x - 1], t_lin[x - 1] = tab1[u], tab1[v]
+        x, u, v = mul(x, g), mul(u, g_inv2), mul(v, g_inv)
+    return tuple(t_sq), tuple(t_lin)
 
 
 # one entry, for library loops over characters: each public call builds a fresh CellSums

@@ -218,8 +218,8 @@ def main_bound_check(q: int, n: int, size_d: int, k: int) -> BoundReport:
     """
     if k + 1 > size_d:
         raise ValueError(f"falling factorial empty: k+1 = {k + 1} > |D| = {size_d}")
-    if k < 0 or size_d <= 0 or q <= 1:
-        raise ValueError("q > 1, size_d > 0 and k >= 0 required")
+    if k < 0 or not 0 < size_d <= q or q <= 1:
+        raise ValueError(f"q > 1, 0 < size_d <= q and k >= 0 required (D is a subset of F_{q})")
     import mpmath  # deferred: only the bound check needs it
 
     with mpmath.workprec(_MP_PREC):
@@ -285,8 +285,10 @@ def region_solve(q: int, n: int, size_d: int, c1: float) -> RegionSpec:
     |D| * (q^(-1/(k+1)) - 1/2 - c1) - k is concave once k + 1 > ln(q)/2,
     which k_min is past, so the feasible k >= k_min form one interval:
     k_max is found by doubling, then bisection.  c2 is the binding
-    constant q^(-1/(k_max+1)) - 1/2 - c1.
+    constant q^(-1/(k_max+1)) - 1/2 - c1.  |D| must lie in [1, q].
     """
+    if not 0 < size_d <= q:
+        raise ValueError(f"0 < size_d <= q required (D is a subset of F_{q})")
     gate_lhs = (n + 1) / 2 * sqrt(q)
     gate_rhs = c1 * size_d
     if not gate_lhs < gate_rhs:

@@ -186,6 +186,38 @@ def test_weil3_shift_rows_are_equal_in_characteristic_2(m):
         assert len(t_sq) == F.q - 1 and t_sq == t_lin
 
 
+def inverse_shift_rows(field, a, inv):
+    """The weil3 rows from a table of inverses, in encoding order: the
+    oracle for `_weil3_shift_tables`' walk along the powers of g."""
+    _, mul = field.kernels()
+    tab1 = charsum._psi_table(field, 1)
+    sqrt_a = field.pow(a, field.q // 2)
+    return (tuple(tab1[mul(a, mul(inv[x], inv[x]))] for x in field.units()),
+            tuple(tab1[mul(sqrt_a, inv[x])] for x in field.units()))
+
+
+def montgomery_inverses(field) -> list[int]:
+    """1/x for every unit x from one inversion (Montgomery's trick): inv[x]
+    first holds 1*2*...*(x-1), and r runs through 1/(1*2*...*x)."""
+    _, mul = field.kernels()
+    q, inv = field.q, [1] * field.q
+    for x in range(2, q):
+        inv[x] = mul(inv[x - 1], x - 1)
+    r = field.inv(mul(inv[-1], q - 1))
+    for x in range(q - 1, 0, -1):
+        inv[x], r = mul(r, inv[x]), mul(r, x)
+    return inv
+
+
+@pytest.mark.parametrize("m", [*range(1, 9), 17])
+def test_weil3_shift_rows_match_the_inverse_oracle(m):
+    # every a up to 2^8; above the table cap, one sampled a (the oracle takes seconds)
+    F = parse_field_spec(f"2^{m}")
+    inv = montgomery_inverses(F)
+    for a in F.units() if m <= 8 else (0x1D2C5,):
+        assert charsum._weil3_shift_tables(F, a) == inverse_shift_rows(F, a, inv)
+
+
 def test_bounds_hold_on_small_grid(grid_fields):
     for q in [4, 5, 7, 8, 9, 13, 16]:
         F = grid_fields[q]

@@ -480,6 +480,19 @@ def test_flags_that_would_be_ignored_are_refused(argv, capsys):
     assert captured.out == "" and re.search("needs --brute-force|not allowed with", captured.err)
 
 
+@pytest.mark.parametrize("argv", [
+    "bound --field 7 --n 3 --k 1 --size-d",
+    "region --field 7 --n 3 --c1 0.9 --size-d",
+], ids=["bound", "region"])
+def test_size_d_above_q_exits_2(argv, capsys):
+    # D is a subset of F_q: |D| = q runs (region's gate passes for |D| = 8 too)
+    assert _exit_status(argv.split() + ["7"]) in (0, 1)
+    capsys.readouterr()
+    assert _exit_status(argv.split() + ["8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "(D is a subset of F_7)" in captured.err
+
+
 def test_value_set_formula_rejects_elems(capsys):
     argv = ["value-set", "--field", "7", "--n", "2", "--a", "1", "--formula", "--elems"]
     assert main(argv) == 2

@@ -1,10 +1,13 @@
 """Dickson evaluation and the exact counting formulas.
 
-The recurrence, the closed-form coefficients, and the functional equation
+The three-term recurrence (kept here as the oracle), the integer
+closed-form coefficients, and the functional equation
 D_n(y + a/y, a) = y^n + (a/y)^n are three independent routes to the same
-values; the counting formulas are then checked against full enumeration.
+values as the library's Horner evaluation on the closed form reduced mod p;
+the counting formulas are then checked against full enumeration.
 """
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -35,8 +38,22 @@ def test_spec_validation():
         DicksonSpec(F, 2, 9)  # a outside the field
 
 
+# --- oracles ----------------------------------------------------------------
+
+
+def recurrence(F: FiniteField, n: int, a: int, x: int) -> int:
+    """D_n(x, a) by D_0 = 2, D_1 = x, D_j = x*D_{j-1} - a*D_{j-2}: O(n)
+    field operations, and no binomial coefficient."""
+    add, mul = F.kernels()
+    prev, cur, neg_a = F.from_int(2), x, F.neg(a)
+    for _ in range(n - 1):
+        prev, cur = cur, add(mul(x, cur), mul(neg_a, prev))
+    return cur
+
+
 # --- closed-form coefficients ----------------------------------------------
-# The binomial closed form is the oracle for the recurrence the library uses.
+# The integer closed form, reduced mod p only at the end, and the recurrence
+# are each other's check.
 
 
 def dickson_coeffs(n: int) -> list[int]:
@@ -108,15 +125,49 @@ def test_degree_three_closed_form():
 
 
 def test_recurrence_matches_closed_form(grid_fields):
-    # two genuinely different code paths: O(n) recurrence vs binomial sums,
-    # exhaustive over the whole grid, n <= 16, all a, all x
+    # two genuinely different code paths: O(n) recurrence vs integer binomial
+    # sums, exhaustive over the whole grid, n <= 16, all a, all x
     for F in grid_fields.values():
         for n in range(1, 17):
             for a in F.elements():
                 poly = dickson_poly(DicksonSpec(F, n, a))
-                spec = DicksonSpec(F, n, a)
                 for x in F.elements():
-                    assert dickson_eval(spec, x) == poly.evaluate(x)
+                    assert recurrence(F, n, a, x) == poly.evaluate(x)
+
+
+def test_evaluator_matches_recurrence_on_the_grid(grid_fields):
+    # the whole-field pass, and one-point calls, on every x, a = 0 included
+    for F in grid_fields.values():
+        for n in range(1, 13):
+            for a in F.elements():
+                spec = DicksonSpec(F, n, a)
+                want = tuple(recurrence(F, n, a, x) for x in F.elements())
+                assert values_vector(spec) == want
+                x = (n * F.q // 13 + a) % F.q
+                assert dickson_eval(spec, x) == want[x]
+
+
+@pytest.mark.parametrize("field", ["2^17", "3^11"])
+def test_evaluator_matches_recurrence_above_the_table_cap(field):
+    # sampled points on the direct-product kernels, one-point and batched
+    F, rng = parse_field_spec(field), random.Random(field)
+    xs = [0, 1, F.q - 1] + rng.sample(range(F.q), 5)
+    for n in (2, 3, 4, 7, 12, 64):
+        for a in (0, 1, rng.randrange(2, F.q)):
+            spec = DicksonSpec(F, n, a)
+            want = [recurrence(F, n, a, x) for x in xs]
+            assert [dickson_eval(spec, x) for x in xs] == want
+            if a:
+                assert [rep.value for rep in preimage_counts(spec, xs)] == want
+
+
+@pytest.mark.parametrize("p", [7, 65537])
+def test_evaluator_matches_recurrence_at_large_degree(p):
+    # n = 100000 has several base-p digits for p = 7, where Lucas' theorem
+    # zeroes many coefficients, and two for p = 65537
+    F = FiniteField(p)
+    for a, x in [(0, 3), (1, 0), (3, 1), (p - 1, 2), (5, p - 1)]:
+        assert dickson_eval(DicksonSpec(F, 100000, a), x) == recurrence(F, 100000, a, x)
 
 
 def test_functional_equation_over_quadratic_extension():
