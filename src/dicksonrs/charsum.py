@@ -191,8 +191,8 @@ def require_sum(which: str, spec: DicksonSpec, b: int = 1):
         raise ValueError("bound requires a != 0")
 
 
-# unbounded: cells of any n share a (field, a) entry; bounded, the suite's peak rose
-@lru_cache(maxsize=None)
+# one entry: the suite walks its cells grouped by a, so every n of one a reads one row
+@lru_cache(maxsize=1)
 def _eta_vector(field: FiniteField, a: int) -> tuple[int, ...]:
     """eta(x^2 - 4a) for every x, odd q."""
     add, mul = field.kernels()
@@ -200,7 +200,7 @@ def _eta_vector(field: FiniteField, a: int) -> tuple[int, ...]:
     return tuple(field.quad_char(add(mul(x, x), minus_4a)) for x in field.elements())
 
 
-@lru_cache(maxsize=None)  # unbounded, as `_eta_vector`
+@lru_cache(maxsize=1)  # one entry, as `_eta_vector`
 def _weil3_shift_tables(field: FiniteField, a: int):
     """psi_Tr(a/x^2) and psi_Tr(a^(q/2)/x) for x in F_q^*, even q, in
     encoding order.  One walk x = g^i carries a/x^2 and a^(q/2)/x along,

@@ -289,7 +289,8 @@ def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     for params, spec, D in _cells(cfg, F, out, value_set):
         cells.append((len(out), params, CellSums(spec, D)))
         out.append(None)  # filled in once every character has run on every cell
-    # one walk over the characters serves every cell
+    # one walk over the characters serves every cell; grouped by a, they share a's rows
+    cells.sort(key=lambda cell: cell[1]["a"])
     worst = [(float("inf"), 0.0, 0.0)] * len(cells)
     for _, tab in characters_by_powers(F) if cells else ():
         for i, (_, _, cell) in enumerate(cells):

@@ -30,9 +30,12 @@ from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .gf import FiniteField, two_adic
+
+if TYPE_CHECKING:  # imported at run time only by value_set_size_formula
+    from fractions import Fraction
 
 __all__ = [
     "DicksonSpec",
@@ -129,9 +132,9 @@ def dickson_eval(spec: DicksonSpec, x: int) -> int:
     return next(_evaluate(spec.field, spec.n, spec.a, (x,)))
 
 
-# unbounded: library loops over characters re-read it per call (criterion 5: 3.0 s; 11.4 s
-# uncached); bench/spans.py reads its cache_info(); tests key rows by its tuples' ids
-@lru_cache(maxsize=None)
+# the one whole-field pass, one entry (bench/spans.py reads its cache_info()): a library loop
+# over one spec's characters re-reads it per call (criterion 5: 3.0 s; 11.4 s uncached)
+@lru_cache(maxsize=1)
 def values_vector(spec: DicksonSpec) -> tuple[int, ...]:
     """(D_n(0,a), D_n(1,a), ..., D_n(q-1,a)) in encoding order."""
     return tuple(_evaluate(spec.field, spec.n, spec.a, spec.field.elements()))
@@ -139,14 +142,12 @@ def values_vector(spec: DicksonSpec) -> tuple[int, ...]:
 
 def value_counts(spec: DicksonSpec) -> dict[int, int]:
     """Exact multiplicity of every attained value, by full enumeration."""
-    # not values_vector: its cache is the character sums' working set
-    return Counter(_evaluate(spec.field, spec.n, spec.a, spec.field.elements()))
+    return Counter(values_vector(spec))
 
 
-@lru_cache(maxsize=1)  # the deephole suite reads one cell's set for each k
 def value_set(spec: DicksonSpec) -> EvaluationSet:
     """Enumerated evaluation set, sorted by encoding; deterministic."""
-    return EvaluationSet(spec, tuple(sorted(value_counts(spec))))
+    return EvaluationSet(spec, tuple(sorted(set(values_vector(spec)))))
 
 
 def _doubled_terms(spec: DicksonSpec) -> tuple[int, int, int]:
@@ -180,7 +181,6 @@ def value_set_size_formula(spec: DicksonSpec) -> ValueSetReport:
     """`value_set_size` with its terms as exact fractions:
     size = (q-1)/(2*gcd(n,q-1)) + (q+1)/(2*gcd(n,q+1)) + delta."""
     from fractions import Fraction  # deferred: only this report needs it
-
     t1, t2, twice_delta = _doubled_terms(spec)
     return ValueSetReport(size=(t1 + t2 + twice_delta) // 2, delta=Fraction(twice_delta, 2),
                           terms=(Fraction(t1, 2), Fraction(t2, 2)))

@@ -1,7 +1,10 @@
 """The package's public API is the union of its library modules' `__all__`;
 `charsum` and `sieve` load on first use."""
 
+import ast
+import builtins
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,50 @@ def test_every_public_name_is_importable_from_the_package(module):
     mod = importlib.import_module(f"dicksonrs.{module}")
     missing = [name for name in mod.__all__ if getattr(dicksonrs, name, None) is not getattr(mod, name)]
     assert missing == []
+
+
+def _annotation_names(tree):
+    """Every name read by an annotation of tree, string annotations included."""
+    notes = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            notes += [arg.annotation for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                                 a.vararg, a.kwarg) if arg and arg.annotation]
+            notes += [node.returns] if node.returns else []
+        elif isinstance(node, ast.AnnAssign):
+            notes.append(node.annotation)
+    while notes:
+        for node in ast.walk(notes.pop()):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                notes.append(ast.parse(node.value, mode="eval"))
+
+
+def _module_names(tree):
+    """Names bound by tree's top-level statements and its `if TYPE_CHECKING:` blocks."""
+    body = list(tree.body)
+    for node in body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            body += node.body
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+@pytest.mark.parametrize("path", sorted(Path(dicksonrs.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_annotation_names_a_module_level_binding(path):
+    # annotations stay unevaluated at run time, so nothing else notices a name
+    # imported only inside a function, which type checkers cannot resolve
+    tree = ast.parse(path.read_text())
+    bound = set(_module_names(tree)) | set(dir(builtins))
+    assert sorted(set(_annotation_names(tree)) - bound) == []
 
 
 def test_lazy_module_loads_on_attribute_access(fresh_python):

@@ -361,24 +361,30 @@ def test_walk_sums_are_bit_identical_to_single_b_functions(p, m):
 
 def _run_charsum_suite(monkeypatch, text):
     """Run a charsum-only suite with every gather recorded: the table each
-    cell's rows read, and the table each walk step built.  All are kept
-    alive, so their ids stay distinct."""
+    cell's rows read, and the table each walk step built, with each cell's
+    D_n(x, a) row as `CellSums.values` fetched it.  All are kept alive, so
+    their ids stay distinct."""
     from dicksonrs.cli import ExperimentConfig, run_suite
 
-    calls = []
+    calls, values = [], []
 
     def gather(tab, index):
         out = list(map(tab.__getitem__, index))
         calls.append((index, tab, out))
         return out
 
+    def fetch(spec):
+        values.append(values_vector(spec))
+        return values[-1]
+
     monkeypatch.setattr(charsum, "_gather", gather)
+    monkeypatch.setattr(charsum, "values_vector", fetch)
     charsum._psi_table.cache_clear()
     cfg = ExperimentConfig.from_text(text)
     report = run_suite(cfg)
     assert all(inst.status == "pass" for inst in report.suites[0].instances)
     F = parse_field_spec(cfg.field)
-    rows = {id(values_vector(DicksonSpec(F, n, a))): [] for n in cfg.n for a in cfg.a_values(F)}
+    rows = {id(row): [] for row in values}
     walk = []
     for index, tab, out in calls:
         if id(index) in rows:
@@ -413,3 +419,22 @@ def test_charsum_suite_composes_each_row_once(monkeypatch):
         ids = {id(tab) for tab in tabs}
         assert len(ids) == 31 + 1
         assert len(ids & walked) == 31
+
+
+def test_library_loops_over_specs_hold_one_entry_per_memo():
+    # each public call builds a fresh CellSums; a loop over 16 values of a
+    # leaves one spec's rows behind, not one per spec
+    memos = [values_vector, charsum._weil3_shift_tables, charsum._eta_vector,
+             charsum._preimage_weights]
+    for memo in memos:
+        memo.cache_clear()
+    F2, F3 = FiniteField(2, 5), FiniteField(3, 3)
+    for a in range(1, 17):
+        spec = DicksonSpec(F2, 3, a)
+        psi = AdditiveCharacter(F2, a)
+        weil_sum_1(psi, spec)
+        weil_sum_3(a, spec)
+        weighted_identity_check(psi, value_set(spec))
+        weil_sum_2(AdditiveCharacter(F3, a), DicksonSpec(F3, 3, a))
+    assert [memo.cache_info().misses for memo in memos] == [32, 16, 16, 16]
+    assert all(memo.cache_info().currsize <= 1 for memo in memos)

@@ -191,6 +191,8 @@ def test_empty_range_rejected():
     cfg = ExperimentConfig(field="7", n=())
     with pytest.raises(ValueError):
         run_suite(cfg)
+    with pytest.raises(ValueError, match="a range must be non-empty"):
+        ExperimentConfig(field="7", a=()).validate()
 
 
 def test_unknown_suite_rejected():
@@ -432,7 +434,8 @@ def test_contradictory_sources_rejected(argv, capsys):
 
 @pytest.mark.parametrize("setting", [
     ["--format", "xml"], ["--n", "1"], ["--a", "0"], ["--k", "0"], ["--budget-dp", "0"],
-], ids=["format", "n", "a", "k", "budget"])
+    ["--n", "5..3"], ["--k", ""],
+], ids=["format", "n", "a", "k", "budget", "n-empty", "k-empty"])
 def test_suite_rejects_invalid_setting(setting, capsys):
     assert _exit_status(["suite", "--field", "7", "--suites", "valueset", *setting]) == 2
     captured = capsys.readouterr()
@@ -454,6 +457,13 @@ def test_deephole_word_must_be_int_array(word, capsys):
     argv = ["deephole", "--field", "7", "--n", "2", "--a", "1", "--k", "1", "--word", word]
     assert main(argv) == 2
     assert "error: --word must be a JSON array" in capsys.readouterr().err
+
+
+def test_deephole_word_of_the_wrong_length_exits_2(capsys):
+    argv = ["deephole", "--field", "7", "--n", "2", "--a", "1", "--k", "1", "--word", "[1,2]"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: word length 2 != |D| = 4" in captured.err
 
 
 def test_missing_files_exit_2(tmp_path, capsys):
@@ -558,7 +568,7 @@ def test_charsum_suite_keeps_one_preimage_weights_entry():
     assert charsum._preimage_weights.cache_info().currsize <= 1
 
 
-def test_enumerating_suites_leave_the_values_vector_cache_empty():
+def test_enumerating_suites_keep_one_values_vector_entry():
     # valueset, preimage, sieve and deephole enumerate each (n, a) cell once;
     # none of them may keep a q-tuple per cell in values_vector's cache
     from dicksonrs.dickson import values_vector
@@ -569,7 +579,20 @@ def test_enumerating_suites_leave_the_values_vector_cache_empty():
     )
     report = run_suite(cfg)
     assert all(i.status != "fail" for s in report.suites for i in s.instances)
-    assert values_vector.cache_info().currsize == 0
+    info = values_vector.cache_info()
+    assert info.maxsize == 1 and info.currsize <= 1
+
+
+@pytest.mark.parametrize("field, memo", [("2^4", "_weil3_shift_tables"), ("3^2", "_eta_vector")])
+def test_charsum_suite_builds_each_a_row_once(field, memo):
+    # the walk visits cells grouped by a, so every n of one a reads the one
+    # entry; in grid order (n-major) cells (2, a) and (3, a) lie q - 1 apart
+    rows = getattr(charsum, memo)
+    rows.cache_clear()
+    report = run_suite(ExperimentConfig.from_text(f"field={field}\nsuites=charsum\nn=2..3\na=all"))
+    assert all(i.status == "pass" for i in report.suites[0].instances)
+    info = rows.cache_info()
+    assert (info.misses, info.currsize) == (dicksonrs.parse_field_spec(field).q - 1, 1)
 
 
 @pytest.mark.parametrize("field, which", [
@@ -856,10 +879,15 @@ def test_deephole_suite_enumerates_each_cell_once(monkeypatch, capsys):
     from dicksonrs import dickson
 
     cells = []
-    real = dickson.value_counts
-    monkeypatch.setattr(dickson, "value_counts",
-                        lambda spec: cells.append((spec.n, spec.a)) or real(spec))
-    dickson.value_set.cache_clear()
+    real = dickson._evaluate
+
+    def evaluate(field, n, a, xs):
+        if xs == field.elements():  # a whole-field pass
+            cells.append((n, a))
+        return real(field, n, a, xs)
+
+    monkeypatch.setattr(dickson, "_evaluate", evaluate)
+    dickson.values_vector.cache_clear()
     assert main(["suite", "--field", "7", "--suites", "deephole", "--n", "2..3", "--a", "1,2",
                  "--k", "1..3"]) == 0
     capsys.readouterr()

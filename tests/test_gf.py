@@ -178,6 +178,8 @@ def test_bad_field_parameters():
         FiniteField(2, 2, [1, 1])  # wrong degree
     with pytest.raises(ValueError):
         FiniteField(2, 33)  # q over the 2^32 cap
+    with pytest.raises(ValueError, match="m = 0"):
+        FiniteField(3, 0)
 
 
 def test_field_spec_roundtrip():
@@ -252,6 +254,8 @@ def test_pow_edge_cases(grid_fields):
     assert F.pow(5, 0) == 1
     # exponent reduction mod q-1 for nonzero base
     assert F.pow(5, F.q - 1 + 3) == F.pow(5, 3)
+    with pytest.raises(ZeroDivisionError):
+        F.pow(0, -1)
 
 
 def test_out_of_range_elements_rejected(grid_fields):

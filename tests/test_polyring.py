@@ -55,6 +55,26 @@ def test_degree_multiplicative():
                 assert (f * g).degree == f.degree + g.degree
 
 
+def test_zero_product(f7):
+    f = Polynomial(f7, [3, 1, 4])
+    assert f * Polynomial.zero(f7) == Polynomial.zero(f7) == Polynomial.zero(f7) * f
+
+
+def test_immutable_and_hashed_by_value(f7):
+    f = Polynomial(f7, [3, 1, 4])
+    with pytest.raises(AttributeError, match="immutable"):
+        f.coeffs = (1,)
+    g = Polynomial(f7, [3, 1, 4, 0])  # the same polynomial, built apart
+    assert f == g and f is not g and hash(f) == hash(g)
+    assert len({f, g}) == 1
+
+
+def test_repr_names_field_and_coefficients():
+    F = FiniteField(2, 3)
+    assert repr(Polynomial(F, [1, 0, 5])) == "Polynomial('2^3', [1,0,5])"
+    assert repr(Polynomial.zero(F)) == "Polynomial('2^3', [])"
+
+
 def test_mixed_fields_rejected(f7):
     with pytest.raises(ValueError):
         Polynomial(f7, [1]) * Polynomial(FiniteField(5), [1])

@@ -58,6 +58,20 @@ def test_encode_degree_guard(dickson_code_f7, f7):
         encode(dickson_code_f7, Polynomial(f7, [0, 1]))  # deg 1 > k-1 = 0
 
 
+def test_other_field_polynomials_rejected(dickson_code_f7):
+    poly = Polynomial(FiniteField(5), [1])
+    with pytest.raises(ValueError, match="different field"):
+        ReceivedWord.from_poly(dickson_code_f7, poly)
+    with pytest.raises(ValueError, match="different field"):
+        encode(dickson_code_f7, poly)
+
+
+def test_word_repr_lists_its_values(dickson_code_f7, f7):
+    # a word kept as its polynomial is evaluated for the repr
+    word = ReceivedWord.from_poly(dickson_code_f7, Polynomial(f7, [0, 0, 1]))
+    assert repr(word) == "ReceivedWord(k=1, values=[0, 4, 4, 1])"
+
+
 def test_encode_interpolate_roundtrip(f7):
     code = RSCodeSpec(f7, tuple(range(7)), 3)
     msg = Polynomial(f7, [2, 0, 5])

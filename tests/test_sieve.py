@@ -21,6 +21,7 @@ from dicksonrs import (
     value_set,
     value_set_size,
 )
+from dicksonrs.sieve import binomial_real
 
 # --- cycle types and permutation counts --------------------------------------
 
@@ -113,6 +114,16 @@ def test_periodic_degenerate_period_is_rising_factorial():
             rising *= 6.0 + j
         assert isclose(closed, rising, rel_tol=1e-12)
         assert closed <= bound * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: C_k_periodic_bound(2.5, 9.0, 2, 0), "k = 0 outside"),
+    (lambda: C_k_periodic_bound(2.5, 9.0, 0, 3), "period d"),
+    (lambda: binomial_real(2.5, -1), "j must be >= 0"),
+], ids=["k", "d", "binomial-j"])
+def test_periodic_bound_rejects_out_of_range_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_periodic_integer_cases_match_Ck():
