@@ -13,6 +13,12 @@ and the rounding seen stays far below the tolerances of the bound checks
 Summation always runs in element-encoding order, so results are
 deterministic and independent of any partitioning a caller might do.
 Each sum over F_q reads one composed row, psi_b(D_n(x,a)) for every x.
+The other whole-field rows involve no field power per point: a table
+psi_b is the p-th root of unity at Tr(b*x), from the trace form of b
+(m products); the weil2 row eta(x^2-4a) is `dickson.splitting_row`, which
+the weights 1/N_x also read; and the weil3 pair is that row's
+(-1)^Tr(a/x^2) next to the trace form of a^(q/2) read at 1/x through the
+unit logs, two routes whose agreement is the pair check.
 All summation lives in `CellSums`, whose methods add their terms at C
 speed with `sum` or `fsum` of `map(...)` over a cell's fixed inputs.
 
@@ -49,7 +55,8 @@ from itertools import compress, islice
 from math import fsum, sqrt
 from typing import NamedTuple
 
-from .dickson import DicksonSpec, EvaluationSet, preimage_counts, values_vector
+from .dickson import (DicksonSpec, EvaluationSet, preimage_counts, splitting_row,
+                      values_vector)
 from .gf import FiniteField
 
 __all__ = [
@@ -103,8 +110,8 @@ def nontrivial_characters(field: FiniteField):
     return (AdditiveCharacter(field, b) for b in field.units())
 
 
-# psi_1, which every other table is read from, and one more: the single-b
-# evaluator `character_sum` builds psi_b from it, while the walk gathers its own
+# psi_1, where the walk over the characters starts, and one more: the table
+# the single-b evaluator `character_sum` reads (each is its own trace form)
 _PSI_CACHE_SIZE = 2
 
 
@@ -118,15 +125,10 @@ def _roots_of_unity(p: int) -> tuple:
 
 @lru_cache(maxsize=_PSI_CACHE_SIZE)
 def _psi_table(field: FiniteField, b: int):
-    """Value of psi_b at every element.  In characteristic 2 the entries
-    are exact ints +-1; otherwise complex roots of unity.  Only psi_1 reads
-    the trace; psi_b(x) = psi_1(b*x) for every other b."""
-    if b == 1:
-        roots = _roots_of_unity(field.p)
-        return tuple(roots[field.trace(x)] for x in field.elements())
-    tab1 = _psi_table(field, 1)
-    _, mul = field.kernels()
-    return tuple(tab1[mul(b, x)] for x in field.elements())
+    """Value of psi_b at every element, the root of unity indexed by the
+    trace form x -> Tr(b*x).  In characteristic 2 the entries are exact
+    ints +-1; otherwise complex roots of unity."""
+    return tuple(map(_roots_of_unity(field.p).__getitem__, field.trace_form(b)))
 
 
 def _gather(tab, index) -> list:
@@ -191,29 +193,22 @@ def require_sum(which: str, spec: DicksonSpec, b: int = 1):
         raise ValueError("bound requires a != 0")
 
 
-# one entry: the suite walks its cells grouped by a, so every n of one a reads one row
-@lru_cache(maxsize=1)
 def _eta_vector(field: FiniteField, a: int) -> tuple[int, ...]:
-    """eta(x^2 - 4a) for every x, odd q."""
-    add, mul = field.kernels()
-    minus_4a = field.neg(field.mul(field.from_int(4), a))
-    return tuple(field.quad_char(add(mul(x, x), minus_4a)) for x in field.elements())
+    """eta(x^2 - 4a) for every x, odd q: the splitting row of (field, a)."""
+    return splitting_row(field, a)
 
 
-@lru_cache(maxsize=1)  # one entry, as `_eta_vector`
+@lru_cache(maxsize=1)  # one entry, as `splitting_row`
 def _weil3_shift_tables(field: FiniteField, a: int):
     """psi_Tr(a/x^2) and psi_Tr(a^(q/2)/x) for x in F_q^*, even q, in
-    encoding order.  One walk x = g^i carries a/x^2 and a^(q/2)/x along,
-    by g^-2 and g^-1: three products per unit and no inversion."""
-    _, mul = field.kernels()
-    q, g = field.q, field.primitive_element()
-    g_inv, g_inv2 = field.inv(g), field.inv(mul(g, g))
-    tab1, t_sq, t_lin = _psi_table(field, 1), [0] * (q - 1), [0] * (q - 1)
-    x, u, v = 1, a, field.pow(a, q // 2)
-    for _ in range(q - 1):
-        t_sq[x - 1], t_lin[x - 1] = tab1[u], tab1[v]
-        x, u, v = mul(x, g), mul(u, g_inv2), mul(v, g_inv)
-    return tuple(t_sq), tuple(t_lin)
+    encoding order, by two routes that `CellSums.shifts_equal` compares:
+    the first is the splitting row, (-1)^Tr(a/x^2); the second reads the
+    trace form of a^(q/2) at 1/x = g^(q-1-l) for x = g^l, by the unit logs."""
+    q, t_sq = field.q, splitting_row(field, a)[1:]
+    tr = field.trace_form(field.pow(a, q // 2))
+    exp, log = field.unit_logs()
+    by_log = [(1, -1)[tr[y]] for y in exp[q - 1:0:-1]]
+    return t_sq, tuple(map(by_log.__getitem__, islice(log, 1, None)))
 
 
 # one entry, for library loops over characters: each public call builds a fresh CellSums
@@ -227,10 +222,10 @@ def _preimage_weights(spec: DicksonSpec) -> tuple[float, ...]:
 class CellSums:
     """Every sum of one (n, a) cell, read from any character table.
 
-    The cell's fixed inputs are fetched once, on first use: D's sorted
-    elements, D_n(x,a) for x in encoding order, 1/N_x, and eta(x^2-4a)
-    (odd q) or the two weil3 shift rows (even q), compared once: equal
-    rows make the pair one sum.  These methods are the only summation
+    The cell's fixed inputs are fetched once, on first use or all at once
+    by `fetch`: D's sorted elements, D_n(x,a) for x in encoding order,
+    1/N_x, and eta(x^2-4a) (odd q) or the two weil3 shift rows (even q),
+    compared once: equal rows make the pair one sum.  These methods are the only summation
     code: `character_sum` calls them through `SUMS` on the cached psi_b
     table, and the suites on the tables of `characters_by_powers`.
     Preconditions are left to `require_sum`.
@@ -261,6 +256,12 @@ class CellSums:
     @cached_property
     def weights(self) -> tuple[float, ...]:
         return _preimage_weights(self.spec)
+
+    def fetch(self) -> CellSums:
+        """Read every fixed input now, while the one-entry memos hold this
+        cell's spec and a; returns the cell."""
+        _ = self.values, self.weights, self.eta if self.spec.field.q % 2 else self.shifts_equal
+        return self
 
     def row(self, tab) -> list:
         """psi_b(D_n(x,a)) for every x, in encoding order."""

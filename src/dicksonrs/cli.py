@@ -286,11 +286,13 @@ def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     from .charsum import TOL_IDENTITY, TOL_SLACK, CellSums, character_sum, characters_by_powers
 
     out, cells = [], []
-    for params, spec, D in _cells(cfg, F, out, value_set):
-        cells.append((len(out), params, CellSums(spec, D)))
+    for params, spec, _ in _cells(cfg, F, out, lambda spec: F.elements()):  # the budget only
+        cells.append((len(out), params, spec))
         out.append(None)  # filled in once every character has run on every cell
-    # one walk over the characters serves every cell; grouped by a, they share a's rows
-    cells.sort(key=lambda cell: cell[1]["a"])
+    # one walk over the characters serves every cell.  Grouped by a, the cells
+    # share a's rows, and each one reads its inputs while the memos hold it
+    cells = [(slot, params, CellSums(spec, value_set(spec)).fetch())
+             for slot, params, spec in sorted(cells, key=lambda cell: cell[1]["a"])]
     worst = [(float("inf"), 0.0, 0.0)] * len(cells)
     for _, tab in characters_by_powers(F) if cells else ():
         for i, (_, _, cell) in enumerate(cells):

@@ -36,6 +36,12 @@ form, Tr(x) = sum c_i Tr(t^i) over x's digits (Tr(t^i) by Newton's
 identities on the modulus), tabulated under the cap, and `quad_char` is
 Euler's criterion x^((q-1)/2) through `pow`.
 
+Whole-field passes read two rows instead of a field op per point:
+`trace_form(c)`, the row x -> Tr(c*x) from m products (the trace table
+is its c = 1 case), and `unit_logs()`, the discrete log of every unit:
+the exp/log tables under the cap, one walk's lists above it, which the
+field does not keep.
+
 The default modulus is the smallest monic irreducible f of degree m, by
 Rabin's test with a unit test for its gcd step.  Once t^(p^m) = t mod f,
 f divides the squarefree t^(p^m) - t, so GF(p)[t]/(f) is a product of
@@ -48,7 +54,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from typing import NamedTuple
 
 __all__ = [
@@ -391,7 +397,8 @@ class FiniteField:
     def _build_tables(self) -> tuple[list[int], list[int]]:
         """(exp, log) over g = `primitive_element()`; exp is stored twice over.
 
-        Multiplication by g is F_p-linear, so g*x is g times x's low h =
+        A prime field steps by its modular product.  In an extension,
+        multiplication by g is F_p-linear, so g*x is g times x's low h =
         floor(m/2) digits plus g times its high digits, each read from a
         half-table of p^h or p^(m-h) products built with `_mul_direct`.
         In characteristic 2 the halves add by xor.  For odd p they add in
@@ -402,6 +409,8 @@ class FiniteField:
         """
         p, m, q, ppow = self.p, self.m, self.q, self._ppow
         g = self.primitive_element()
+        if m == 1:
+            return self._logs(list(accumulate(repeat(g, q - 2), self._kernels[1], initial=1)))
         h = m // 2
         P = ppow[h]
         lo = [self._mul_direct(g, x) for x in range(P)]  # g * (low digits)
@@ -434,12 +443,26 @@ class FiniteField:
                 s = lo[x_lo] + hi[x_hi]
                 s -= ((s + K) >> w & G) * p
                 acc = enc_lo[s & mask] + enc_hi[s >> shift]
-        log = [0] * q
+        return self._logs(exp)
+
+    def _logs(self, exp: list[int]) -> tuple[list[int], list[int]]:
+        """(exp twice over, log) from the powers g^0, ..., g^(q-2)."""
+        log = [0] * self.q
         for i, e in enumerate(exp):
             log[e] = i
         return exp * 2, log
 
     _tables = _cached(_build_tables)
+
+    def unit_logs(self) -> tuple[list[int], list[int]]:
+        """(exp, log) over g = `primitive_element()`: exp[i] = g^i for
+        i < 2(q-1) (the powers stored twice over) and log[x] = i for every
+        unit x = g^i, log[0] = 0.  A whole-field row, so a ValueError past
+        q = 2^20: under the table cap these are the field's own tables;
+        above it one walk along g builds them for the caller's pass, and the
+        field keeps neither."""
+        self.elements()  # the enumeration budget
+        return self._tables if self.q <= _TABLE_Q_CAP else self._build_tables()
 
     # -- field invariants used throughout ------------------------------
 
@@ -452,6 +475,9 @@ class FiniteField:
         self._check(x)
         if self.q <= _TABLE_Q_CAP:
             return self._trace_tab[x]
+        return self._trace_digits(x)
+
+    def _trace_digits(self, x: int) -> int:
         return sum(c * w for c, w in zip(self.decode(x), self._trace_basis)) % self.p
 
     @_cached
@@ -466,10 +492,19 @@ class FiniteField:
 
     @_cached
     def _trace_tab(self) -> list[int]:
-        # by linearity, one digit at a time: tab[c*p^i + j] = tab[j] + c*Tr(t^i)
+        return self.trace_form(1)
+
+    def trace_form(self, c: int) -> list[int]:
+        """Tr(c*x) for every x, in encoding order: a whole-field row, so a
+        ValueError past q = 2^20.  x -> Tr(c*x) is F_p-linear, so m direct
+        products give its values w_i = Tr(c*t^i) on the power basis, and the
+        row grows one digit at a time: row[d*p^i + j] = row[j] + d*w_i."""
+        self._check(c)
+        self.elements()  # the enumeration budget
         p, tab = self.p, [0]
-        for w in self._trace_basis:
-            tab = [(v + c * w) % p for c in range(p) for v in tab]
+        for e in self._ppow[:-1]:  # t^i is encoded as p^i
+            w = self._trace_digits(self._mul_direct(c, e))
+            tab = [(v + d * w) % p for d in range(p) for v in tab]
         return tab
 
     def quad_char(self, x: int) -> int:

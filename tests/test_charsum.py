@@ -6,6 +6,7 @@ Characteristic-2 sums are exact integers, so those comparisons are sharp.
 """
 
 import cmath
+from collections import Counter
 from fractions import Fraction
 from math import sqrt
 
@@ -20,6 +21,7 @@ from dicksonrs import (
     nontrivial_characters,
     parse_field_spec,
     preimage_count,
+    preimage_counts,
     sum_over_value_set,
     value_set,
     weighted_identity_check,
@@ -28,6 +30,7 @@ from dicksonrs import (
     weil_sum_2,
     weil_sum_3,
 )
+import dicksonrs.gf as gf
 from dicksonrs import charsum
 from dicksonrs.charsum import TOL_IDENTITY, TOL_SLACK, CellSums, characters_by_powers
 from dicksonrs.dickson import values_vector
@@ -216,6 +219,58 @@ def test_weil3_shift_rows_match_the_inverse_oracle(m):
     inv = montgomery_inverses(F)
     for a in F.units() if m <= 8 else (0x1D2C5,):
         assert charsum._weil3_shift_tables(F, a) == inverse_shift_rows(F, a, inv)
+
+
+@pytest.mark.parametrize("capped", [False, True])
+@pytest.mark.parametrize("field", ["2^6", "3^4", "5^3"])
+def test_character_and_shift_rows_match_their_oracles(field, capped, monkeypatch):
+    # capped: every field is above the table cap, so the oracle's traces and
+    # products are direct, and the weil3 rows read one walk's unit logs
+    if capped:
+        monkeypatch.setattr(gf, "_TABLE_Q_CAP", 1)
+    F = parse_field_spec(field)
+    roots = charsum._roots_of_unity(F.p)
+    charsum._psi_table.cache_clear()
+    for b in F.elements():
+        assert charsum._psi_table(F, b) == tuple(roots[F.trace(F.mul(b, x))]
+                                                 for x in F.elements())
+    if F.p == 2 and capped:  # under the cap, test_weil3_shift_rows_match_the_inverse_oracle
+        inv = montgomery_inverses(F)
+        for a in F.units():
+            charsum._weil3_shift_tables.cache_clear()
+            charsum.splitting_row.cache_clear()
+            assert charsum._weil3_shift_tables(F, a) == inverse_shift_rows(F, a, inv)
+    for memo in (charsum._psi_table, charsum._weil3_shift_tables, charsum.splitting_row):
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("field", ["3^5", "2^8"])
+def test_whole_field_passes_make_no_power_per_point(field, monkeypatch):
+    # every row reads the unit logs and trace forms: a handful of field
+    # powers, traces and inverses per pass, not one per point
+    calls = Counter()
+    for name in ("pow", "quad_char", "trace", "inv"):
+        def counted(self, *args, _real=getattr(FiniteField, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(FiniteField, name, counted)
+    memos = (values_vector, charsum.splitting_row, charsum._psi_table,
+             charsum._weil3_shift_tables, charsum._preimage_weights)
+    for memo in memos:
+        memo.cache_clear()
+    F = parse_field_spec(field)
+    for n in (3, 4):
+        assert len(list(preimage_counts(DicksonSpec(F, n, 5), F.elements()))) == F.q
+        values_vector.cache_clear()
+    charsum._psi_table(F, 7)
+    if F.p == 2:
+        charsum._weil3_shift_tables(F, 5)
+    else:
+        charsum._eta_vector(F, 5)
+    assert 0 < sum(calls.values()) <= 2 * F.m, calls
+    for memo in memos:
+        memo.cache_clear()
 
 
 def test_bounds_hold_on_small_grid(grid_fields):
@@ -423,8 +478,9 @@ def test_charsum_suite_composes_each_row_once(monkeypatch):
 
 def test_library_loops_over_specs_hold_one_entry_per_memo():
     # each public call builds a fresh CellSums; a loop over 16 values of a
-    # leaves one spec's rows behind, not one per spec
-    memos = [values_vector, charsum._weil3_shift_tables, charsum._eta_vector,
+    # leaves one spec's rows behind, not one per spec.  The splitting row
+    # serves weil3 and the weights in 2^5, then weil2 in 3^3: two misses per a
+    memos = [values_vector, charsum._weil3_shift_tables, charsum.splitting_row,
              charsum._preimage_weights]
     for memo in memos:
         memo.cache_clear()
@@ -436,5 +492,5 @@ def test_library_loops_over_specs_hold_one_entry_per_memo():
         weil_sum_3(a, spec)
         weighted_identity_check(psi, value_set(spec))
         weil_sum_2(AdditiveCharacter(F3, a), DicksonSpec(F3, 3, a))
-    assert [memo.cache_info().misses for memo in memos] == [32, 16, 16, 16]
+    assert [memo.cache_info().misses for memo in memos] == [32, 16, 32, 16]
     assert all(memo.cache_info().currsize <= 1 for memo in memos)

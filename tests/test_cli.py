@@ -583,16 +583,35 @@ def test_enumerating_suites_keep_one_values_vector_entry():
     assert info.maxsize == 1 and info.currsize <= 1
 
 
-@pytest.mark.parametrize("field, memo", [("2^4", "_weil3_shift_tables"), ("3^2", "_eta_vector")])
+@pytest.mark.parametrize("field, memo", [("2^4", "_weil3_shift_tables"), ("3^2", "splitting_row")])
 def test_charsum_suite_builds_each_a_row_once(field, memo):
-    # the walk visits cells grouped by a, so every n of one a reads the one
-    # entry; in grid order (n-major) cells (2, a) and (3, a) lie q - 1 apart
+    # the suite reads its cells grouped by a, so every n of one a reads the one
+    # entry; in grid order (n-major) cells (2, a) and (3, a) lie q - 1 apart.
+    # For odd q the weil2 row and the preimage weights read the same splitting row
     rows = getattr(charsum, memo)
     rows.cache_clear()
     report = run_suite(ExperimentConfig.from_text(f"field={field}\nsuites=charsum\nn=2..3\na=all"))
     assert all(i.status == "pass" for i in report.suites[0].instances)
     info = rows.cache_info()
     assert (info.misses, info.currsize) == (dicksonrs.parse_field_spec(field).q - 1, 1)
+
+
+def test_charsum_suite_evaluates_each_cell_once(monkeypatch):
+    # each cell reads its values and weights while the one-entry memo still
+    # holds its D_n row: one evaluation of D_n per cell, not three
+    from dicksonrs import dickson
+
+    cells, real = [], dickson._coefficients
+
+    def coefficients(field, n, a):
+        cells.append((n, a))
+        return real(field, n, a)
+
+    monkeypatch.setattr(dickson, "_coefficients", coefficients)
+    dickson.values_vector.cache_clear()
+    report = run_suite(ExperimentConfig.from_text("field=2^6\nsuites=charsum\nn=2..3\na=1,2"))
+    assert [i.status for i in report.suites[0].instances] == ["pass"] * 4
+    assert cells == [(2, 1), (3, 1), (2, 2), (3, 2)]
 
 
 @pytest.mark.parametrize("field, which", [
@@ -875,18 +894,18 @@ def test_deephole_enumerates_d_first_outside_the_formula_domain(n, a, size_d, ca
 
 
 def test_deephole_suite_enumerates_each_cell_once(monkeypatch, capsys):
-    # every k of an (n, a) cell reads the same D
+    # every k of an (n, a) cell reads the same D; each evaluation of D_n,
+    # whole-field or not, starts from its closed-form coefficients
     from dicksonrs import dickson
 
     cells = []
-    real = dickson._evaluate
+    real = dickson._coefficients
 
-    def evaluate(field, n, a, xs):
-        if xs == field.elements():  # a whole-field pass
-            cells.append((n, a))
-        return real(field, n, a, xs)
+    def coefficients(field, n, a):
+        cells.append((n, a))
+        return real(field, n, a)
 
-    monkeypatch.setattr(dickson, "_evaluate", evaluate)
+    monkeypatch.setattr(dickson, "_coefficients", coefficients)
     dickson.values_vector.cache_clear()
     assert main(["suite", "--field", "7", "--suites", "deephole", "--n", "2..3", "--a", "1,2",
                  "--k", "1..3"]) == 0

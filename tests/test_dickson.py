@@ -14,6 +14,7 @@ from math import comb
 import pytest
 
 import dicksonrs.dickson as dickson
+import dicksonrs.gf as gf
 from dicksonrs import (
     DicksonSpec,
     FiniteField,
@@ -344,3 +345,33 @@ def test_preimage_partition_identity(grid_fields):
                     preimage_count(spec, x0).count for x0 in representative.values()
                 )
                 assert total == F.q
+
+
+def _splitting_oracle(F, a, x):
+    """How z^2 - x*z + a factors, by the field's own quad_char and trace."""
+    if F.q % 2:
+        return F.quad_char(F.sub(F.mul(x, x), F.mul(F.from_int(4), a)))
+    return 0 if x == 0 else 1 - 2 * F.trace(F.mul(a, F.pow(F.inv(x), 2)))
+
+
+@pytest.mark.parametrize("capped", [False, True])
+@pytest.mark.parametrize("field", ["2^6", "3^4", "5^3"])
+def test_whole_field_rows_match_the_one_point_formulas(field, capped, monkeypatch):
+    # capped: every field is above the table cap, so the rows read one walk's
+    # unit logs and the one-point path multiplies directly
+    if capped:
+        monkeypatch.setattr(gf, "_TABLE_Q_CAP", 1)
+    F = parse_field_spec(field)
+    for a in F.units():
+        dickson.splitting_row.cache_clear()
+        assert dickson.splitting_row(F, a) == tuple(_splitting_oracle(F, a, x)
+                                                    for x in F.elements())
+        for n in (3, 4):
+            spec = DicksonSpec(F, n, a)
+            values_vector.cache_clear()
+            assert values_vector(spec) == tuple(dickson_eval(spec, x) for x in F.elements())
+            assert list(preimage_counts(spec, F.elements())) == [
+                preimage_count(spec, x0) for x0 in F.elements()]
+    assert ("_tables" in vars(F)) != capped
+    dickson.splitting_row.cache_clear()
+    values_vector.cache_clear()

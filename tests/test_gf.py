@@ -319,6 +319,9 @@ def test_trace_matches_definition(p, m, capped, monkeypatch):
     F = FiniteField(p, m)
     assert [F.trace(x) for x in F.elements()] == [naive_trace(F, x) for x in F.elements()]
     assert ("_trace_tab" in vars(F)) != capped
+    # the trace form of every c is the trace read at c*x
+    for c in F.elements():
+        assert F.trace_form(c) == [naive_trace(F, naive_mul(F, c, x)) for x in F.elements()]
 
 
 # --- quadratic character ----------------------------------------------------
@@ -462,7 +465,8 @@ def _power_tables(F):
 
 # odd m splits the digits unevenly; 13 and 127 need wide slots
 @pytest.mark.parametrize(
-    "spec", ["2^5", "2^8", "3^2", "3^3", "5^2", "7^2", "3^5", "5^3", "13^2", "127^2", "3^2/2,2,1"]
+    "spec", ["2^5", "2^8", "3^2", "3^3", "5^2", "7^2", "3^5", "5^3", "13^2", "127^2", "3^2/2,2,1",
+             "7", "13"]
 )
 def test_tables_match_power_iteration(spec):
     F = parse_field_spec(spec)
@@ -492,6 +496,11 @@ def test_derived_values_are_cached_properties_built_on_first_read(spec):
     under_cap = F.q <= gf._TABLE_Q_CAP
     assert ("_tables" in vars(F)) == (under_cap and F.m > 1)
     assert ("_trace_tab" in vars(F)) == under_cap
+    # a whole-field pass reads the unit logs: the field's tables under the
+    # cap, and above it one walk's lists, which the field does not keep
+    exp, log = F.unit_logs()
+    assert (exp[1], exp[F.q - 1], log[exp[F.q // 3]]) == (F.primitive_element(), 1, F.q // 3)
+    assert ("_tables" in vars(F)) == under_cap
 
 
 @pytest.mark.parametrize("q", [27, 25, 49])
