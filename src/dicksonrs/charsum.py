@@ -2,13 +2,14 @@
 
 An additive character is psi_b(x) = exp(2*pi*i * Tr(b*x) / p); it is
 nontrivial exactly when b != 0.  In characteristic 2 every character value
-is +-1, the character sums are exact integers, and the weighted identity's
-right side adds float weights 1/N_x by `math.fsum`, alike on every CPython
-(n = 3: deviations 0 at q = 2^3, 2.8e-14 at 2^20 for a = 1, b = 5).
-For odd p the values are double-precision p-th roots of unity.  A sum has at
-most q <= 2^20 terms (the enumeration budget of `FiniteField.elements()`),
-and the rounding seen stays far below the tolerances of the bound checks
-(TOL_SLACK = 1e-6 for inequalities, TOL_IDENTITY = 1e-9 for identities).
+is +-1 and the character sums are exact integers.  For odd p the values are
+double-precision p-th roots of unity.  A sum has at most q <= 2^20 terms
+(the enumeration budget of `FiniteField.elements()`), and the rounding seen
+stays far below the tolerance of the bound checks (TOL_SLACK = 1e-6).  The
+weighted identity is decided exactly, by its integer fiber defect (below);
+TOL_IDENTITY = 1e-9 is left to the float comparisons of two routes to one
+sum: the weil3 pair, the sieve identity, and the `tolerance` field of the
+identity reports.
 
 Summation always runs in element-encoding order, so results are
 deterministic and independent of any partitioning a caller might do.
@@ -16,9 +17,9 @@ Each sum over F_q reads one composed row, psi_b(D_n(x,a)) for every x.
 The other whole-field rows involve no field power per point: a table
 psi_b is the p-th root of unity at Tr(b*x), from the trace form of b
 (m products); the weil2 row eta(x^2-4a) is `dickson.splitting_row`, which
-the weights 1/N_x also read; and the weil3 pair is that row's
-(-1)^Tr(a/x^2) next to the trace form of a^(q/2) read at 1/x through the
-unit logs, two routes whose agreement is the pair check.
+the preimage counts behind the fiber defect also read; and the weil3 pair
+is that row's (-1)^Tr(a/x^2) next to the trace form of a^(q/2) read at 1/x
+through the unit logs, two routes whose agreement is the pair check.
 All summation lives in `CellSums`, whose methods add their terms at C
 speed with `sum` or `fsum` of `map(...)` over a cell's fixed inputs.
 
@@ -43,16 +44,23 @@ plus the exact weighted identity
     sum_{y in D} psi(y) = sum_{x in F_q} psi(D_n(x,a)) / N_x
 whose left side is the lemma's sum and whose right side (`weighted_sum`)
 uses the preimage-count formula for N_x, an end-to-end check of that formula.
+Grouped by value, the right side is sum_y psi(y) v(y) with
+v(y) = sum_{D_n(x,a) = y} 1/N_x, so with L the lcm of the N_x the identity
+holds for every psi at once iff the integer fiber defect w = L*1_D - L*v is
+zero.  `CellSums.defect` builds w in one pass over F_q and keeps its
+support; the deviation at psi is |sum_{y in supp w} w(y) psi(y)| / L, which
+is 0.0 with no work per character when the formula holds, and an exact
+integer over L in characteristic 2.
 """
 
 from __future__ import annotations
 
 import cmath
 import operator
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
 from itertools import compress, islice
-from math import fsum, sqrt
+from math import fsum, lcm, sqrt
 from typing import NamedTuple
 
 from .dickson import (DicksonSpec, EvaluationSet, preimage_counts, splitting_row,
@@ -79,7 +87,8 @@ __all__ = [
     "weil_sum_3",
 ]
 
-# a bound holds iff slack >= -TOL_SLACK; an identity iff |deviation| <= TOL_IDENTITY
+# a bound holds iff slack >= -TOL_SLACK; two float routes to one sum agree iff they
+# differ by at most TOL_IDENTITY (the weighted identity reads its exact defect instead)
 TOL_SLACK = 1e-6
 TOL_IDENTITY = 1e-9
 
@@ -111,7 +120,8 @@ def nontrivial_characters(field: FiniteField):
 
 
 # psi_1, where the walk over the characters starts, and one more: the table
-# the single-b evaluator `character_sum` reads (each is its own trace form)
+# the single-b evaluator `character_sum` reads (each is its own trace form).
+# The suites build psi_1 alone: the identity's defect covers the trivial character
 _PSI_CACHE_SIZE = 2
 
 
@@ -211,21 +221,37 @@ def _weil3_shift_tables(field: FiniteField, a: int):
     return t_sq, tuple(map(by_log.__getitem__, islice(log, 1, None)))
 
 
-# one entry, for library loops over characters: each public call builds a fresh CellSums
-# (criterion 5: 3.0 s; 18.3 s without); `CellSums.weights` keeps its own copy per cell
+# one entry each, for library loops over characters: each public call builds a fresh
+# CellSums (criterion 5: 3.0 s; 18.3 s without); a cell keeps its own reference
 @lru_cache(maxsize=1)
 def _preimage_weights(spec: DicksonSpec) -> tuple[float, ...]:
     """1/N_x for every x, with N_x from the preimage-count formula."""
     return tuple(1.0 / rep.count for rep in preimage_counts(spec, spec.field.elements()))
 
 
+@lru_cache(maxsize=1)
+def _fiber_defect(spec: DicksonSpec) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(L, support): L is the lcm of the formula's N_x, and the support is
+    the sorted (y, w(y)) with w(y) = L - sum_{D_n(x,a) = y} L/N_x != 0 for
+    the attained values y, from one pass of the preimage-count formula."""
+    reports = preimage_counts(spec, spec.field.elements())
+    shares = Counter(map(operator.itemgetter(1, 2), reports))  # (y, N_x): how many x
+    L = lcm(*{count for _, count in shares})
+    w = {}
+    for (y, count), k in shares.items():
+        w[y] = w.get(y, L) - k * (L // count)
+    return L, tuple(sorted(item for item in w.items() if item[1]))
+
+
 class CellSums:
     """Every sum of one (n, a) cell, read from any character table.
 
     The cell's fixed inputs are fetched once, on first use or all at once
-    by `fetch`: D's sorted elements, D_n(x,a) for x in encoding order,
-    1/N_x, and eta(x^2-4a) (odd q) or the two weil3 shift rows (even q),
-    compared once: equal rows make the pair one sum.  These methods are the only summation
+    by `fetch`: D's sorted elements, D_n(x,a) for x in encoding order, the
+    weighted identity's fiber defect, and eta(x^2-4a) (odd q) or the two
+    weil3 shift rows (even q), compared once: equal rows make the pair one
+    sum.  The weights 1/N_x are read only by `weighted`, the right side's
+    value, which no check needs.  These methods are the only summation
     code: `character_sum` calls them through `SUMS` on the cached psi_b
     table, and the suites on the tables of `characters_by_powers`.
     Preconditions are left to `require_sum`.
@@ -257,10 +283,15 @@ class CellSums:
     def weights(self) -> tuple[float, ...]:
         return _preimage_weights(self.spec)
 
+    @cached_property
+    def defect(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(L, support of w): the weighted identity holds iff the support is empty."""
+        return _fiber_defect(self.spec)
+
     def fetch(self) -> CellSums:
         """Read every fixed input now, while the one-entry memos hold this
         cell's spec and a; returns the cell."""
-        _ = self.values, self.weights, self.eta if self.spec.field.q % 2 else self.shifts_equal
+        _ = self.values, self.defect, self.eta if self.spec.field.q % 2 else self.shifts_equal
         return self
 
     def row(self, tab) -> list:
@@ -295,6 +326,11 @@ class CellSums:
         terms = map(operator.mul, row, self.weights)
         return complex(fsum(terms) if self.spec.field.p == 2 else sum(terms))
 
+    def identity(self, tab) -> float:
+        """|sum_{y in D} psi(y) - sum_x psi(D_n(x,a))/N_x|, from the defect."""
+        L, support = self.defect
+        return abs(sum(w * tab[y] for y, w in support)) / L if support else 0.0
+
 
 # Each `which` sum of one character on one cell, read from its psi_b table.
 # The suite's worst-case scan reads one row for several sums instead.
@@ -303,7 +339,7 @@ SUMS = {
     "weil1": lambda cell, tab: cell.weil1(cell.row(tab)),
     "weil2": lambda cell, tab: cell.weil2(cell.row(tab)),
     "weil3": lambda cell, tab: cell.weil3(cell.row(tab)),
-    "identity": lambda cell, tab: abs(cell.lemma(tab).sum - cell.weighted(cell.row(tab))),
+    "identity": lambda cell, tab: cell.identity(tab),
 }
 
 
@@ -364,9 +400,10 @@ def weighted_sum(psi: AdditiveCharacter, spec: DicksonSpec) -> complex:
 
 
 def weighted_identity_check(psi: AdditiveCharacter, D: EvaluationSet) -> float:
-    """|sum_over_value_set(psi, D).sum - weighted_sum(psi, D.spec)|.
+    """|sum_over_value_set(psi, D).sum - weighted_sum(psi, D.spec)|, from
+    the cell's fiber defect (`CellSums.identity`).
 
-    N_x comes from the formula, the left side from enumeration, so a small
-    deviation certifies the formula at every point of this (n, a) grid cell.
+    N_x comes from the formula, D from enumeration, so a zero deviation for
+    every psi certifies the formula at every point of this (n, a) grid cell.
     """
     return character_sum("identity", _cell(psi, D.spec, D), psi.b)

@@ -279,11 +279,11 @@ def _charsum_worst(cell, tab) -> tuple[float, float, float]:
         r1, r2 = cell.weil3(row)
         slack = min(slack, r1.slack, r2.slack)
         gap = abs(r1.sum - r2.sum)
-    return slack, abs(lemma.sum - cell.weighted(row)), gap
+    return slack, cell.identity(tab), gap
 
 
 def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
-    from .charsum import TOL_IDENTITY, TOL_SLACK, CellSums, character_sum, characters_by_powers
+    from .charsum import TOL_IDENTITY, TOL_SLACK, CellSums, characters_by_powers
 
     out, cells = [], []
     for params, spec, _ in _cells(cfg, F, out, lambda spec: F.elements()):  # the budget only
@@ -300,9 +300,10 @@ def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
             w_slack, w_dev, w_gap = worst[i]
             worst[i] = (min(w_slack, slack), max(w_dev, dev), max(w_gap, gap))
     for (slot, params, cell), (slack, dev, gap) in zip(cells, worst):
-        # the trivial character, read as `charsum --which identity --b 0` reads it
-        dev = max(dev, character_sum("identity", cell, 0))
-        ok = slack >= -TOL_SLACK and dev <= TOL_IDENTITY and gap <= TOL_IDENTITY
+        # the identity holds for every character iff the defect is empty; psi_0 = 1 adds its sum
+        L, defect = cell.defect
+        dev = max(dev, abs(sum(w for _, w in defect)) / L)
+        ok = slack >= -TOL_SLACK and not defect and gap <= TOL_IDENTITY
         detail = f"worst_slack={slack:.3e} identity_dev={dev:.3e}"
         if gap:
             detail += f" pair_gap={gap:.3e}"
@@ -621,7 +622,7 @@ def _cmd_charsum(args, F: FiniteField) -> tuple[dict, bool]:
     from .charsum import SUMS, CellSums, character_sum, characters_by_powers, require_sum
 
     spec = DicksonSpec(F, args.n, args.a)
-    cell = CellSums(spec, value_set(spec) if args.which in ("lemma", "identity") else None)
+    cell = CellSums(spec, value_set(spec) if args.which == "lemma" else None)
     if args.all_characters:
         require_sum(args.which, spec)
         walk_sum = SUMS[args.which]

@@ -5,8 +5,10 @@ D_n(y + a/y, a) = y^n + (a/y)^n.  It is evaluated by the closed form
 
     D_n(x, a) = sum_{i <= n/2} c_i (-a)^i x^(n-2i),  c_i = C(n-i, i) + C(n-i-1, i-1),
 
-by Horner in x^2 (about n/2 products per point), each c_i mod p from
-Lucas' theorem; the recurrence D_j = x*D_{j-1} - a*D_{j-2} is the tests' oracle.
+by Horner in x^2 (at most n/2 products per point), each c_i mod p from
+Lucas' theorem, skipping the c_i that vanish mod p (most of them in
+characteristic 2: D_(2^j)(x, a) = x^(2^j)); the recurrence
+D_j = x*D_{j-1} - a*D_{j-2} is the tests' oracle.
 A point at a time (`dickson_eval`, up to q = 2^32) the products are the
 field's kernels; the whole-field pass `values_vector` reads them off the
 field's unit logs instead, once per square x^2.
@@ -104,9 +106,18 @@ class ValueSetReport(NamedTuple):
     terms: tuple[Fraction, Fraction]
 
 
-def _coefficients(field: FiniteField, n: int, a: int) -> list[int]:
-    """P's coefficients below its leading 1 for D_n(x, a) = x^(n mod 2) * P(x^2),
-    n >= 2: c_i * (-a)^i for i = 1..n//2, each c_i mod p by Lucas' theorem."""
+def _coefficients(field: FiniteField, n: int, a: int) -> tuple[int, list[list[int]], int]:
+    """P's Horner steps for D_n(x, a) = x^(n mod 2) * P(y), y = x^2, n >= 2.
+
+    P's coefficients below its leading 1 are c_i * (-a)^i for i = 1..n//2,
+    each c_i mod p by Lucas' theorem.  Returned as (k0, steps, last) with
+
+        P(y) = (...((y^k0 + e_1) y^k_1 + e_2) y^k_2 ... + e_r) y^k_r + last,
+
+    where e_1..e_r are the nonzero coefficients of i < n//2 and each k is one
+    more than the zeros skipped after its coefficient (k = 1 when none are), so
+    a gap costs one multiplication by y^k; last is the i = n//2 coefficient.
+    In characteristic 2 most c_i vanish: D_(2^j) = x^(2^j) has no step at all."""
     p = field.p  # every base-p digit of a number <= n is below min(p, n+1)
     fact = list(accumulate(range(1, min(p, n + 1)), lambda f, k: f * k % p, initial=1))
     inv = list(accumulate(range(len(fact) - 1, 0, -1), lambda f, k: f * k % p,
@@ -119,23 +130,35 @@ def _coefficients(field: FiniteField, n: int, a: int) -> list[int]:
 
     mul = field.kernels()[1]
     powers = accumulate(repeat(field.neg(a), n // 2), mul)  # (-a)^i for i = 1..n//2
-    return [mul((binom(n - i, i) + binom(n - i - 1, i - 1)) % p, power)
-            for i, power in enumerate(powers, 1)]
+    *inner, last = [mul((binom(n - i, i) + binom(n - i - 1, i - 1)) % p, power)
+                     for i, power in enumerate(powers, 1)]
+    k0, steps = 1, []
+    for e in inner:
+        if e:
+            steps.append([e, 1])
+        elif steps:
+            steps[-1][1] += 1
+        else:
+            k0 += 1
+    return k0, steps, last
 
 
 def _evaluate(field: FiniteField, n: int, a: int, xs):
     """D_n(x, a) for each x in xs (n >= 1), by Horner in x^2 on the field's
-    kernels; a and every x were checked by the caller."""
+    kernels, y^k for k > 1 by one `pow` (a log lookup under the table cap);
+    a and every x were checked by the caller."""
     if n == 1:
         yield from xs
         return
     add, mul = field.kernels()
-    *inner, last = _coefficients(field, n, a)
+    k0, steps, last = _coefficients(field, n, a)
     for x in xs:
-        y = acc = mul(x, x)
-        for e in inner:
-            acc = mul(add(acc, e), y)
-        acc = add(acc, last)
+        y = mul(x, x)
+        acc = y if k0 == 1 else field.pow(y, k0)
+        for e, k in steps:
+            acc = mul(add(acc, e), y if k == 1 else field.pow(y, k))
+        if last:
+            acc = add(acc, last)
         yield mul(x, acc) if n % 2 else acc
 
 
@@ -151,24 +174,28 @@ def dickson_eval(spec: DicksonSpec, x: int) -> int:
 def values_vector(spec: DicksonSpec) -> tuple[int, ...]:
     """(D_n(0,a), D_n(1,a), ..., D_n(q-1,a)) in encoding order.
 
-    The same Horner in y = x^2 as `_evaluate`, one coefficient at a time
-    over every point, with each product read off the unit logs.  At x =
-    g^l, P(x^2) depends only on l mod (q-1)/2 for odd q (x and -x have one
-    square), so it is evaluated once per square; D_n(0, a) is P(0), the
-    last coefficient, or 0 for odd n."""
+    The same Horner in y = x^2 as `_evaluate`, one step at a time over
+    every point, with each product read off the unit logs: a step's y^k is
+    the log offset 2kl at x = g^l.  At x = g^l, P(x^2) depends only on
+    l mod (q-1)/2 for odd q (x and -x have one square), so it is evaluated
+    once per square; D_n(0, a) is P(0), the last coefficient, or 0 for odd n."""
     F, n, a = spec.field, spec.n, spec.a
     if n == 1:
         return tuple(F.elements())
     q = F.q
     exp, log = F.unit_logs()
     add = F.kernels()[0]
-    *inner, last = _coefficients(F, n, a)
-    # y = g^(2l) for l up to the period (exp is stored twice over), and log y
-    acc = ys = exp[:(q - 1) * (2 - q % 2):2]
-    lys = list(map(log.__getitem__, ys)) if inner else ()
-    for e in inner:
-        acc = [exp[log[t] + ly] if (t := add(v, e)) else 0 for v, ly in zip(acc, lys)]
-    by_log = list(map(add, acc, repeat(last))) * (1 + q % 2)  # the row at x = g^l is by_log[l]
+    k0, steps, last = _coefficients(F, n, a)
+    period = (q - 1) // (1 + q % 2)
+    # log y^k = 2kl mod q-1 at x = g^l, for each k a step multiplies by
+    log_pow = {k: [2 * k * l % (q - 1) for l in range(period)] for k in {k for _, k in steps}}
+    # y^k0 (exp is stored twice over, so y = g^(2l) needs no reduction)
+    acc = exp[:2 * period:2] if k0 == 1 else [exp[2 * k0 * l % (q - 1)] for l in range(period)]
+    for e, k in steps:
+        acc = [exp[log[t] + ly] if (t := add(v, e)) else 0 for v, ly in zip(acc, log_pow[k])]
+    if last:
+        acc = list(map(add, acc, repeat(last)))
+    by_log = acc * (1 + q % 2)  # the row at x = g^l is by_log[l]
     if n % 2:
         at_zero, by_log = 0, [exp[log[v] + l] if v else 0 for l, v in enumerate(by_log)]
     else:

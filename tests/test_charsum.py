@@ -371,6 +371,50 @@ def test_weighted_identity_small_grid(grid_fields):
                     assert weighted_identity_check(AdditiveCharacter(F, b), D) <= TOL_IDENTITY
 
 
+def _one_count_off(real):
+    """`preimage_counts` with N_x one too large at x = 1."""
+    def counts(spec, xs):
+        for rep in real(spec, xs):
+            yield rep._replace(count=rep.count + 1) if rep.x0 == 1 else rep
+
+    return counts
+
+
+@pytest.mark.parametrize("wrong", [False, True], ids=["formula", "one_count_off"])
+@pytest.mark.parametrize("field", ["2^3", "2^4", "2^5", "2^6", "3^2", "3^3", "3^4", "5^2",
+                                   "7", "13"])
+def test_identity_deviation_matches_the_weighted_sum_oracle(field, wrong, monkeypatch):
+    # the defect route against |lemma sum - weighted sum| for every b, a and
+    # n = 2..5.  The formula leaves every defect empty; with one N_x wrong
+    # both routes read the same counts, every defect is nonempty and the
+    # suite fails every cell
+    F = parse_field_spec(field)
+    if wrong:
+        monkeypatch.setattr(charsum, "preimage_counts", _one_count_off(charsum.preimage_counts))
+    memos = (charsum._fiber_defect, charsum._preimage_weights)
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        for n in range(2, 6):
+            for a in F.units():
+                spec = DicksonSpec(F, n, a)
+                D = value_set(spec)
+                assert bool(CellSums(spec).defect[1]) == wrong
+                for b in F.elements():
+                    psi = AdditiveCharacter(F, b)
+                    want = abs(sum_over_value_set(psi, D).sum - weighted_sum(psi, spec))
+                    assert abs(weighted_identity_check(psi, D) - want) <= 1e-12, (n, a, b)
+        if wrong:
+            from dicksonrs.cli import ExperimentConfig, run_suite
+
+            cfg = ExperimentConfig.from_text(f"field={field}\nsuites=charsum\nn=2..3\na=all")
+            statuses = {inst.status for inst in run_suite(cfg).suites[0].instances}
+            assert statuses == {"fail"}
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+
+
 # --- the walk along powers of a primitive element -------------------------
 
 _WALK_CELLS = [(2, 1), (3, 2), (4, 3), (5, 1)]
@@ -450,38 +494,36 @@ def _run_charsum_suite(monkeypatch, text):
 
 
 def test_charsum_suite_builds_each_table_once_in_a_bounded_cache(monkeypatch):
-    # 2 * 63 (n, a) cells share one walk: _psi_table builds psi_1 and the
-    # trivial character's psi_0, each of the other 62 characters costs one
-    # gather, and each cell reads one row per character, the trivial one included
+    # 2 * 63 (n, a) cells share one walk: _psi_table builds psi_1 alone (the
+    # identity's defect covers the trivial character), each of the other 62
+    # characters costs one gather, and each cell reads one row per character
     F, rows, walk = _run_charsum_suite(monkeypatch, "field=2^6\nsuites=charsum\nn=2..3")
     info = charsum._psi_table.cache_info()
-    assert info.misses == 2
+    assert info.misses == 1
     assert info.currsize <= charsum._PSI_CACHE_SIZE
     assert len(walk) == F.q - 2
     assert len(rows) == 2 * 63
-    assert all(len(tabs) == F.q for tabs in rows.values())
+    assert all(len(tabs) == F.q - 1 for tabs in rows.values())
 
 
 def test_charsum_suite_composes_each_row_once(monkeypatch):
-    # 31 characters on 2 cells, plus the trivial character's row per cell;
-    # the weil1, weil3 and weighted sums of one (character, cell) share a
-    # row, so each cell reads every table exactly once
+    # 31 characters on 2 cells; the weil1 and weil3 sums of one (character,
+    # cell) share a row, so each cell reads every table exactly once
     F, rows, walk = _run_charsum_suite(monkeypatch, "field=2^5\nsuites=charsum\nn=2..3\na=1")
     assert len(rows) == 2
     walked = {id(tab) for tab in walk} | {id(charsum._psi_table(F, 1))}
     for tabs in rows.values():
-        assert len(tabs) == 31 + 1
-        ids = {id(tab) for tab in tabs}
-        assert len(ids) == 31 + 1
-        assert len(ids & walked) == 31
+        assert len(tabs) == 31
+        assert {id(tab) for tab in tabs} == walked
 
 
 def test_library_loops_over_specs_hold_one_entry_per_memo():
     # each public call builds a fresh CellSums; a loop over 16 values of a
     # leaves one spec's rows behind, not one per spec.  The splitting row
-    # serves weil3 and the weights in 2^5, then weil2 in 3^3: two misses per a
+    # serves weil3, the defect and the weights in 2^5, then weil2 in 3^3:
+    # two misses per a
     memos = [values_vector, charsum._weil3_shift_tables, charsum.splitting_row,
-             charsum._preimage_weights]
+             charsum._fiber_defect, charsum._preimage_weights]
     for memo in memos:
         memo.cache_clear()
     F2, F3 = FiniteField(2, 5), FiniteField(3, 3)
@@ -491,6 +533,7 @@ def test_library_loops_over_specs_hold_one_entry_per_memo():
         weil_sum_1(psi, spec)
         weil_sum_3(a, spec)
         weighted_identity_check(psi, value_set(spec))
+        weighted_sum(psi, spec)
         weil_sum_2(AdditiveCharacter(F3, a), DicksonSpec(F3, 3, a))
-    assert [memo.cache_info().misses for memo in memos] == [32, 16, 32, 16]
+    assert [memo.cache_info().misses for memo in memos] == [32, 16, 32, 16, 16]
     assert all(memo.cache_info().currsize <= 1 for memo in memos)

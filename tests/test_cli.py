@@ -560,12 +560,16 @@ def test_suite_names_agree_everywhere():
 
 
 def test_charsum_suite_keeps_one_preimage_weights_entry():
-    # keyed per cell: each cell's CellSums holds its own weights
-    charsum._preimage_weights.cache_clear()
+    # keyed per cell: each cell's CellSums holds its own fiber defect, built
+    # once; the weights 1/N_x, which only `weighted_sum` reads, are not built
+    memos = charsum._preimage_weights, charsum._fiber_defect
+    for memo in memos:
+        memo.cache_clear()
     cfg = ExperimentConfig.from_text("field=2^3\nsuites=charsum\nn=2..3\na=all")
     report = run_suite(cfg)
     assert len(report.suites[0].instances) == 14
-    assert charsum._preimage_weights.cache_info().currsize <= 1
+    assert [memo.cache_info()[2:] for memo in memos] == [(1, 0), (1, 1)]  # (maxsize, currsize)
+    assert charsum._fiber_defect.cache_info().misses == 14
 
 
 def test_enumerating_suites_keep_one_values_vector_entry():
@@ -587,7 +591,7 @@ def test_enumerating_suites_keep_one_values_vector_entry():
 def test_charsum_suite_builds_each_a_row_once(field, memo):
     # the suite reads its cells grouped by a, so every n of one a reads the one
     # entry; in grid order (n-major) cells (2, a) and (3, a) lie q - 1 apart.
-    # For odd q the weil2 row and the preimage weights read the same splitting row
+    # For odd q the weil2 row and the fiber defect read the same splitting row
     rows = getattr(charsum, memo)
     rows.cache_clear()
     report = run_suite(ExperimentConfig.from_text(f"field={field}\nsuites=charsum\nn=2..3\na=all"))
@@ -597,7 +601,7 @@ def test_charsum_suite_builds_each_a_row_once(field, memo):
 
 
 def test_charsum_suite_evaluates_each_cell_once(monkeypatch):
-    # each cell reads its values and weights while the one-entry memo still
+    # each cell reads its values and defect while the one-entry memo still
     # holds its D_n row: one evaluation of D_n per cell, not three
     from dicksonrs import dickson
 
@@ -730,8 +734,8 @@ def test_preimage_reports_the_formula_domain_before_the_point(capsys):
     assert captured.out == "" and "counting formulas require" in captured.err
 
 
-# 3^13 = 1,594,323 and 2^21 both exceed the budget 2^20; lemma and identity,
-# which enumerate D first, are the controls
+# 3^13 = 1,594,323 and 2^21 both exceed the budget 2^20; lemma, which
+# enumerates D first, is the control
 @pytest.mark.parametrize("which, field", [("weil1", "2^21"), ("weil3", "2^21"),
                                           ("weil2", "3^13"), ("lemma", "2^21"),
                                           ("identity", "2^21")])

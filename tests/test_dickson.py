@@ -8,6 +8,7 @@ the counting formulas are then checked against full enumeration.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -169,6 +170,37 @@ def test_evaluator_matches_recurrence_at_large_degree(p):
     F = FiniteField(p)
     for a, x in [(0, 3), (1, 0), (3, 1), (p - 1, 2), (5, p - 1)]:
         assert dickson_eval(DicksonSpec(F, 100000, a), x) == recurrence(F, 100000, a, x)
+
+
+@pytest.mark.parametrize("n", [127, 128, 255, 256])
+def test_evaluators_skip_coefficients_that_vanish_mod_p(n, monkeypatch):
+    # in characteristic 2 D_255 has 7 nonzero coefficients below its leading
+    # one out of 127, and D_256 = x^256 none.  Both evaluators match the
+    # recurrence, and their kernel calls grow with the nonzero coefficients
+    # s: at most n per coefficient setup, s + 1 adds per point for the
+    # whole-field pass and 2s + 3 calls per point one point at a time
+    F = parse_field_spec("2^8")
+    s = sum(1 for c in dickson_coeffs(n)[1:] if c % 2)
+    calls = Counter()
+    add, mul = F.kernels()
+
+    def counted(kernel, name):
+        def call(x, y):
+            calls[name] += 1
+            return kernel(x, y)
+        return call
+
+    kernels = counted(add, "add"), counted(mul, "mul")
+    for a in (0, 1, 2, 0x53):
+        want = tuple(recurrence(F, n, a, x) for x in F.elements())
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(FiniteField, "kernels", lambda self: kernels)
+            values_vector.cache_clear()
+            assert values_vector(DicksonSpec(F, n, a)) == want
+            assert tuple(dickson._evaluate(F, n, a, F.elements())) == want
+        assert sum(calls.values()) <= 2 * n + F.q * (s + 1) + F.q * (2 * s + 3), (a, calls)
+    values_vector.cache_clear()
 
 
 def test_functional_equation_over_quadratic_extension():

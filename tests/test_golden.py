@@ -8,6 +8,9 @@ the per-subcommand flag sets and the single config parser; the trivial
 twist's lemma report before the one-shot handlers returned their reports
 to `main`.  The two 2^3 suite CSVs were regenerated once the characteristic-2
 weighted sum became an `fsum`, which zeroed their charsum `identity_dev`s.
+`readme_charsum_7_identity.json` was regenerated once the weighted identity
+was read from its exact integer fiber defect: its deviations, rounding noise
+up to 2.3e-16 before, are 0.0.
 Any change to a decision, witness, count, float or key order shows up here.
 
 `{golden}` in a command stands for this directory; a command with `--out`
