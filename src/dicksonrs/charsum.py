@@ -16,10 +16,10 @@ deterministic and independent of any partitioning a caller might do.
 Each sum over F_q reads one composed row, psi_b(D_n(x,a)) for every x.
 The other whole-field rows involve no field power per point: a table
 psi_b is the p-th root of unity at Tr(b*x), from the trace form of b
-(m products); the weil2 row eta(x^2-4a) is `dickson.splitting_row`, which
-the preimage counts behind the fiber defect also read; and the weil3 pair
-is that row's (-1)^Tr(a/x^2) next to the trace form of a^(q/2) read at 1/x
-through the unit logs, two routes whose agreement is the pair check.
+(m products); the one sign row, s = `dickson.splitting_row`, which the
+fiber defect's preimage counts also read, makes weil2 (odd q) and the first
+weil3 sum (even q, s(0) = 0) one sum; the second weil3 sum reads the trace
+form of a^(q/2) at 1/x through the unit logs, and its row equals s on F_q^*.
 All summation lives in `CellSums`, whose methods add their terms at C
 speed with `sum` or `fsum` of `map(...)` over a cell's fixed inputs.
 
@@ -59,11 +59,11 @@ import cmath
 import operator
 from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
-from itertools import compress, islice
+from itertools import islice
 from math import fsum, lcm, sqrt
 from typing import NamedTuple
 
-from .dickson import (DicksonSpec, EvaluationSet, preimage_counts, splitting_row,
+from .dickson import (DicksonSpec, EvaluationSet, preimage_counts, splitting_row, value_set,
                       values_vector)
 from .gf import FiniteField
 
@@ -204,21 +204,21 @@ def require_sum(which: str, spec: DicksonSpec, b: int = 1):
 
 
 def _eta_vector(field: FiniteField, a: int) -> tuple[int, ...]:
-    """eta(x^2 - 4a) for every x, odd q: the splitting row of (field, a)."""
+    """`splitting_row`, the sign row of both parities (eta(x^2 - 4a) for odd
+    q); the name stays for bench/spans.py, which traces it."""
     return splitting_row(field, a)
 
 
 @lru_cache(maxsize=1)  # one entry, as `splitting_row`
-def _weil3_shift_tables(field: FiniteField, a: int):
-    """psi_Tr(a/x^2) and psi_Tr(a^(q/2)/x) for x in F_q^*, even q, in
-    encoding order, by two routes that `CellSums.shifts_equal` compares:
-    the first is the splitting row, (-1)^Tr(a/x^2); the second reads the
-    trace form of a^(q/2) at 1/x = g^(q-1-l) for x = g^l, by the unit logs."""
-    q, t_sq = field.q, splitting_row(field, a)[1:]
+def _weil3_shift_tables(field: FiniteField, a: int) -> tuple[int, ...]:
+    """psi_Tr(a^(q/2)/x) for x in F_q^*, even q, in encoding order: the trace
+    form of a^(q/2) read at 1/x = g^(q-1-l) for x = g^l by the unit logs, the
+    weil3 pair's second route (`CellSums.shifts_equal` compares it with s)."""
+    q = field.q
     tr = field.trace_form(field.pow(a, q // 2))
     exp, log = field.unit_logs()
     by_log = [(1, -1)[tr[y]] for y in exp[q - 1:0:-1]]
-    return t_sq, tuple(map(by_log.__getitem__, islice(log, 1, None)))
+    return tuple(map(by_log.__getitem__, islice(log, 1, None)))
 
 
 # one entry each, for library loops over characters: each public call builds a fresh
@@ -246,38 +246,40 @@ def _fiber_defect(spec: DicksonSpec) -> tuple[int, tuple[tuple[int, int], ...]]:
 class CellSums:
     """Every sum of one (n, a) cell, read from any character table.
 
-    The cell's fixed inputs are fetched once, on first use or all at once
-    by `fetch`: D's sorted elements, D_n(x,a) for x in encoding order, the
-    weighted identity's fiber defect, and eta(x^2-4a) (odd q) or the two
-    weil3 shift rows (even q), compared once: equal rows make the pair one
-    sum.  The weights 1/N_x are read only by `weighted`, the right side's
-    value, which no check needs.  These methods are the only summation
-    code: `character_sum` calls them through `SUMS` on the cached psi_b
-    table, and the suites on the tables of `characters_by_powers`.
-    Preconditions are left to `require_sum`.
+    Each fixed input is read on first use: D (unless the caller passes it),
+    D_n(x,a) for x in encoding order, the weighted identity's fiber defect,
+    and the splitting row s, the one sign row: `split` is weil2 for odd q
+    and the first weil3 sum for even q.  The weights 1/N_x are read only by
+    `weighted`, the right side's value, which no check needs.  These
+    methods are the only summation code: `character_sum` calls them through
+    `SUMS` on the cached psi_b table, and the suites on the tables of
+    `characters_by_powers`.  Preconditions are left to `require_sum`.
     """
 
     def __init__(self, spec: DicksonSpec, D: EvaluationSet | None = None):
         self.spec = spec
-        self.D = D
+        if D is not None:
+            self.D = D
+
+    @cached_property
+    def D(self) -> EvaluationSet:
+        return value_set(self.spec)
 
     @cached_property
     def values(self) -> tuple[int, ...]:
         return values_vector(self.spec)
 
     @cached_property
-    def eta(self) -> tuple[int, ...]:
+    def signs(self) -> tuple[int, ...]:
         return _eta_vector(self.spec.field, self.spec.a)
 
     @cached_property
-    def shifts(self):
-        return _weil3_shift_tables(self.spec.field, self.spec.a)
-
-    @cached_property
     def shifts_equal(self) -> bool:
-        """Whether the two weil3 shift rows agree, as Tr(z) = Tr(z^2) says."""
-        t_sq, t_lin = self.shifts
-        return t_sq == t_lin
+        """Whether the weil3 pair is one sum: the second route's row equals
+        s on F_q^*, as Tr(z) = Tr(z^2) says; odd q has no second route."""
+        F, a = self.spec.field, self.spec.a
+        return F.q % 2 == 1 or all(map(operator.eq, _weil3_shift_tables(F, a),
+                                       islice(self.signs, 1, None)))
 
     @cached_property
     def weights(self) -> tuple[float, ...]:
@@ -287,12 +289,6 @@ class CellSums:
     def defect(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """(L, support of w): the weighted identity holds iff the support is empty."""
         return _fiber_defect(self.spec)
-
-    def fetch(self) -> CellSums:
-        """Read every fixed input now, while the one-entry memos hold this
-        cell's spec and a; returns the cell."""
-        _ = self.values, self.defect, self.eta if self.spec.field.q % 2 else self.shifts_equal
-        return self
 
     def row(self, tab) -> list:
         """psi_b(D_n(x,a)) for every x, in encoding order."""
@@ -307,20 +303,21 @@ class CellSums:
         q = self.spec.field.q
         return _report(sum(row), q, (self.spec.n - 1) * sqrt(q))
 
-    def weil2(self, row) -> CharSumReport:
-        # terms with eta = 0 are skipped, the others are eta * psi
-        eta, q = self.eta, self.spec.field.q
-        total = sum(map(operator.mul, compress(eta, eta), compress(row, eta)))
-        return _report(total, q, (self.spec.n + 1) * sqrt(q))
-
-    def weil3(self, row) -> tuple[CharSumReport, CharSumReport]:
-        t_sq, t_lin = self.shifts
+    def split(self, row) -> CharSumReport:
+        """sum_x s(x) psi(D_n(x,a)) against (n+1)*sqrt(q): weil2 over F_q for
+        odd q, the first weil3 sum over F_q^* for even q (s(0) = 0)."""
         q = self.spec.field.q
-        bound = (self.spec.n + 1) * sqrt(q)
-        r1 = _report(sum(map(operator.mul, islice(row, 1, None), t_sq)), q - 1, bound)  # x != 0
+        total = sum(map(operator.mul, self.signs, row))
+        return _report(total, q - 1 + q % 2, (self.spec.n + 1) * sqrt(q))
+
+    def pair(self, row) -> tuple[CharSumReport, CharSumReport]:
+        """The weil3 pair: `split` and the sum over the second route's row,
+        or `split` twice when the rows agree (always for odd q)."""
+        r1 = self.split(row)
         if self.shifts_equal:  # the same terms in the same order: the same sum
             return r1, r1
-        return r1, _report(sum(map(operator.mul, islice(row, 1, None), t_lin)), q - 1, bound)
+        t_lin = _weil3_shift_tables(self.spec.field, self.spec.a)
+        return r1, _report(sum(map(operator.mul, islice(row, 1, None), t_lin)), r1.terms, r1.bound)
 
     def weighted(self, row) -> complex:
         terms = map(operator.mul, row, self.weights)
@@ -337,8 +334,8 @@ class CellSums:
 SUMS = {
     "lemma": lambda cell, tab: cell.lemma(tab),
     "weil1": lambda cell, tab: cell.weil1(cell.row(tab)),
-    "weil2": lambda cell, tab: cell.weil2(cell.row(tab)),
-    "weil3": lambda cell, tab: cell.weil3(cell.row(tab)),
+    "weil2": lambda cell, tab: cell.split(cell.row(tab)),
+    "weil3": lambda cell, tab: cell.pair(cell.row(tab)),
     "identity": lambda cell, tab: cell.identity(tab),
 }
 

@@ -29,7 +29,7 @@ import time
 from functools import partial
 from itertools import product
 from json.encoder import encode_basestring_ascii as _json_str
-from math import comb, factorial, perm
+from math import comb, factorial, isfinite, perm
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -140,6 +140,8 @@ class ExperimentConfig(NamedTuple):
             raise ValueError(f"unknown format {self.format!r}")
         if self.budget_subsets <= 0 or self.budget_dp <= 0:
             raise ValueError("budgets must be positive")
+        if not isfinite(self.c1):
+            raise ValueError(f"c1 must be finite, got {self.c1}")
         return F
 
     def a_values(self, F: FiniteField) -> tuple[int, ...]:
@@ -268,18 +270,12 @@ def _run_preimage(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]
 
 
 def _charsum_worst(cell, tab) -> tuple[float, float, float]:
-    """(least slack, identity deviation, weil3 pair gap) of one character on one cell."""
-    lemma = cell.lemma(tab)
+    """(least slack, identity deviation, weil3 pair gap) of one character on
+    one cell; the split sum is weil2 for odd q, where the pair is that one sum."""
     row = cell.row(tab)
-    slack = min(lemma.slack, cell.weil1(row).slack)
-    gap = 0.0
-    if cell.spec.field.q % 2 == 1:
-        slack = min(slack, cell.weil2(row).slack)
-    else:
-        r1, r2 = cell.weil3(row)
-        slack = min(slack, r1.slack, r2.slack)
-        gap = abs(r1.sum - r2.sum)
-    return slack, cell.identity(tab), gap
+    r1, r2 = cell.pair(row)
+    slack = min(cell.lemma(tab).slack, cell.weil1(row).slack, r1.slack, r2.slack)
+    return slack, cell.identity(tab), abs(r1.sum - r2.sum)
 
 
 def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
@@ -290,8 +286,9 @@ def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
         cells.append((len(out), params, spec))
         out.append(None)  # filled in once every character has run on every cell
     # one walk over the characters serves every cell.  Grouped by a, the cells
-    # share a's rows, and each one reads its inputs while the memos hold it
-    cells = [(slot, params, CellSums(spec, value_set(spec)).fetch())
+    # share a's rows, and on the first character each one reads its inputs
+    # while the one-entry memos hold its spec and a
+    cells = [(slot, params, CellSums(spec))
              for slot, params, spec in sorted(cells, key=lambda cell: cell[1]["a"])]
     worst = [(float("inf"), 0.0, 0.0)] * len(cells)
     for _, tab in characters_by_powers(F) if cells else ():
@@ -499,12 +496,21 @@ def emit(report: RunReport, fmt: str) -> str:
 # JSON helpers for the one-shot subcommands
 
 
-def _dump_json(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) plus a newline, byte for byte.
+class Records(list):
+    """Tuples of values under `keys`, each column all ints or all strs; as a
+    report or a dict value, `_dump_json` writes each as the object of those keys."""
 
-    An indent makes json.dumps run its pure-Python encoder, so lists of flat
-    records (str keys, one key set, each column all ints or all strs), such as
-    `preimage --all-x0`'s, are written column by column through C-level maps.
+    def __init__(self, keys: tuple[str, ...], rows):
+        super().__init__(rows)
+        self.keys = keys
+
+
+def _dump_json(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) plus a newline, byte for
+    byte, with each `Records` read as its list of objects.
+
+    An indent makes json.dumps run its pure-Python encoder, so `Records`,
+    such as `preimage --all-x0`'s, are written column by column instead.
     """
     return _json_text(obj, "\n") + "\n"
 
@@ -515,33 +521,27 @@ _JSON_COLUMN = {str: partial(map, _json_str), int: partial(map, int.__repr__)}
 
 def _json_text(obj, pad: str) -> str:
     """obj's json.dumps text, each line break followed by pad ("\n" + indent);
-    dicts with str keys recurse, and what is neither that nor a list of flat
-    records is json.dumps's own text (escaped JSON holds no raw newline)."""
+    dicts with str keys recurse, nonempty `Records` go column by column, and
+    anything else is json.dumps's own text (escaped JSON holds no raw newline)."""
     if type(obj) is dict and obj and all(type(k) is str for k in obj):
         inner = pad + "  "
         return "{" + ",".join(f"{inner}{_json_str(k)}: {_json_text(v, inner)}"
                               for k, v in sorted(obj.items())) + pad + "}"
-    if type(obj) is list and (text := _json_records(obj, pad)) is not None:
-        return text
+    if type(obj) is Records and obj:
+        return _json_records(obj, pad)
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
 
 
-def _json_records(rows: list, pad: str) -> str | None:
-    """The text of a list of flat int/str records, column by column; None for any other list."""
-    if not rows or set(map(type, rows)) != {dict} or not (first := rows[0].keys()):
-        return None
-    if any(type(k) is not str for k in first) or not all(map(first.__eq__, map(dict.keys, rows))):
-        return None
-    keys, cols = sorted(first), []
-    for k in keys:
-        types = set(map(type, map(itemgetter(k), rows)))
-        column = _JSON_COLUMN.get(types.pop()) if len(types) == 1 else None
-        if column is None:
-            return None
-        cols.append(column(map(itemgetter(k), rows)))
+def _json_records(rows: Records, pad: str) -> str:
+    """The text of nonempty records, column by column."""
+    order = sorted(range(len(rows.keys)), key=rows.keys.__getitem__)
+    cols = []
+    for i in order:
+        (kind,) = set(map(type, map(itemgetter(i), rows)))  # one type per column
+        cols.append(_JSON_COLUMN[kind](map(itemgetter(i), rows)))
     inner, field = pad + "  ", pad + "    "
-    row = inner + "{" + ",".join(field + _json_str(k).replace("%", "%%") + ": %s"
-                                 for k in keys) + inner + "}"
+    row = inner + "{" + ",".join(field + _json_str(rows.keys[i]).replace("%", "%%") + ": %s"
+                                 for i in order) + inner + "}"
     return "[" + ",".join(map(row.__mod__, zip(*cols))) + pad + "]"
 
 
@@ -584,8 +584,7 @@ def _cmd_value_set(args, F: FiniteField) -> tuple[dict, bool]:
 def _cmd_preimage(args, F: FiniteField) -> tuple[dict, bool]:
     spec = DicksonSpec(F, args.n, args.a)
     xs = F.elements() if args.all_x0 else [args.x0]
-    reports = [{"x0": x0, "value": value, "count": count, "case": case}
-               for x0, value, count, case in preimage_counts(spec, xs)]
+    reports = Records(("x0", "value", "count", "case"), preimage_counts(spec, xs))
     return {"q": F.q, "n": args.n, "a": args.a, "reports": reports}, True
 
 
@@ -604,11 +603,8 @@ def _charsum_entry(which: str, b: int, result) -> dict:
         entry["sum_1"] = report_dict(r1)
         entry["sum_2"] = report_dict(r2)
         entry["pair_deviation"] = abs(r1.sum - r2.sum)
-        entry["pass"] = (
-            r1.slack >= -TOL_SLACK
-            and r2.slack >= -TOL_SLACK
-            and entry["pair_deviation"] <= TOL_IDENTITY
-        )
+        entry["pass"] = (min(r1.slack, r2.slack) >= -TOL_SLACK
+                         and entry["pair_deviation"] <= TOL_IDENTITY)
     elif which == "identity":
         entry["deviation"] = result
         entry["tolerance"] = TOL_IDENTITY
@@ -622,7 +618,7 @@ def _cmd_charsum(args, F: FiniteField) -> tuple[dict, bool]:
     from .charsum import SUMS, CellSums, character_sum, characters_by_powers, require_sum
 
     spec = DicksonSpec(F, args.n, args.a)
-    cell = CellSums(spec, value_set(spec) if args.which == "lemma" else None)
+    cell = CellSums(spec)
     if args.all_characters:
         require_sum(args.which, spec)
         walk_sum = SUMS[args.which]

@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import permutations
-from math import ceil, factorial, log2, sqrt
+from math import ceil, factorial, isfinite, log2, sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # charsum loads only where sieve_identity_F runs
@@ -289,6 +289,8 @@ def region_solve(q: int, n: int, size_d: int, c1: float) -> RegionSpec:
     """
     if not 0 < size_d <= q:
         raise ValueError(f"0 < size_d <= q required (D is a subset of F_{q})")
+    if not isfinite(c1):
+        raise ValueError(f"c1 must be finite, got {c1}")
     gate_lhs = (n + 1) / 2 * sqrt(q)
     gate_rhs = c1 * size_d
     if not gate_lhs < gate_rhs:

@@ -8,6 +8,7 @@ Characteristic-2 sums are exact integers, so those comparisons are sharp.
 import cmath
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import sqrt
 
 import pytest
@@ -182,16 +183,19 @@ def test_weil3_pair_equal_and_bounded(grid_fields):
 
 @pytest.mark.parametrize("m", [3, 5, 8])
 def test_weil3_shift_rows_are_equal_in_characteristic_2(m):
-    # Tr(a/x^2) = Tr((a^(q/2)/x)^2) = Tr(a^(q/2)/x), so CellSums.weil3 sums once
+    # Tr(a/x^2) = Tr((a^(q/2)/x)^2) = Tr(a^(q/2)/x), so CellSums.pair sums once:
+    # the second route's row is the splitting row on F_q^*
     F = parse_field_spec(f"2^{m}")
     for a in (1, 3, 5):
-        t_sq, t_lin = charsum._weil3_shift_tables(F, a)
-        assert len(t_sq) == F.q - 1 and t_sq == t_lin
+        t_lin = charsum._weil3_shift_tables(F, a)
+        assert len(t_lin) == F.q - 1 and t_lin == charsum.splitting_row(F, a)[1:]
+        assert CellSums(DicksonSpec(F, 3, a)).shifts_equal
 
 
 def inverse_shift_rows(field, a, inv):
-    """The weil3 rows from a table of inverses, in encoding order: the
-    oracle for `_weil3_shift_tables`' walk along the powers of g."""
+    """The weil3 rows psi_Tr(a/x^2) and psi_Tr(a^(q/2)/x) on F_q^* from a
+    table of inverses, in encoding order: the oracle for the splitting row
+    (less x = 0) and for `_weil3_shift_tables`' walk along the powers of g."""
     _, mul = field.kernels()
     tab1 = charsum._psi_table(field, 1)
     sqrt_a = field.pow(a, field.q // 2)
@@ -218,7 +222,9 @@ def test_weil3_shift_rows_match_the_inverse_oracle(m):
     F = parse_field_spec(f"2^{m}")
     inv = montgomery_inverses(F)
     for a in F.units() if m <= 8 else (0x1D2C5,):
-        assert charsum._weil3_shift_tables(F, a) == inverse_shift_rows(F, a, inv)
+        t_sq, t_lin = inverse_shift_rows(F, a, inv)
+        assert charsum.splitting_row(F, a)[1:] == t_sq
+        assert charsum._weil3_shift_tables(F, a) == t_lin
 
 
 @pytest.mark.parametrize("capped", [False, True])
@@ -239,7 +245,9 @@ def test_character_and_shift_rows_match_their_oracles(field, capped, monkeypatch
         for a in F.units():
             charsum._weil3_shift_tables.cache_clear()
             charsum.splitting_row.cache_clear()
-            assert charsum._weil3_shift_tables(F, a) == inverse_shift_rows(F, a, inv)
+            t_sq, t_lin = inverse_shift_rows(F, a, inv)
+            assert charsum.splitting_row(F, a)[1:] == t_sq
+            assert charsum._weil3_shift_tables(F, a) == t_lin
     for memo in (charsum._psi_table, charsum._weil3_shift_tables, charsum.splitting_row):
         memo.cache_clear()
 
@@ -431,10 +439,8 @@ def test_walk_sums_are_bit_identical_to_single_b_functions(p, m):
     # function's float for float, for every nontrivial b (the suites read
     # the trivial one from `character_sum` itself)
     F = FiniteField(p, m)
-    cells = []
-    for n, a in _WALK_CELLS:
-        spec = DicksonSpec(F, n, a)
-        cells.append(CellSums(spec, value_set(spec)))
+    # each cell builds its own D, which the public lemma sum is handed
+    cells = [CellSums(DicksonSpec(F, n, a)) for n, a in _WALK_CELLS]
     seen = []
     for b, tab in characters_by_powers(F):
         seen.append(b)
@@ -446,10 +452,12 @@ def test_walk_sums_are_bit_identical_to_single_b_functions(p, m):
                 (cell.lemma(tab), sum_over_value_set(psi, cell.D)),
                 (cell.weil1(row), weil_sum_1(psi, spec)),
             ]
-            if F.q % 2 == 1:
-                pairs.append((cell.weil2(row), weil_sum_2(psi, spec)))
-            else:
-                pairs.extend(zip(cell.weil3(row), weil_sum_3(b, spec)))
+            if F.q % 2 == 1:  # the split sum is weil2, and the pair is that sum twice
+                pairs.append((cell.split(row), weil_sum_2(psi, spec)))
+                assert cell.pair(row) == (pairs[-1][0],) * 2
+            else:  # the split sum is the first of the weil3 pair
+                pairs.extend(zip(cell.pair(row), weil_sum_3(b, spec)))
+                pairs.append((cell.split(row), weil_sum_3(b, spec)[0]))
             for got, want in pairs:
                 assert _hex(got.sum) == _hex(want.sum), (p, m, b, spec)
                 assert got.slack.hex() == want.slack.hex()
@@ -515,6 +523,42 @@ def test_charsum_suite_composes_each_row_once(monkeypatch):
     for tabs in rows.values():
         assert len(tabs) == 31
         assert {id(tab) for tab in tabs} == walked
+
+
+class _SlicedRow(tuple):
+    """A splitting row that counts the slices taken of it: each is a copy."""
+
+    slices = 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            _SlicedRow.slices += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("field", ["2^5", "3^3"])
+def test_charsum_suite_builds_one_splitting_row_per_a_and_no_copy(field, monkeypatch):
+    # weil2, the weil3 pair's check, the defect's preimage counts: one row per a
+    from dicksonrs import dickson
+
+    built, real = [], dickson.splitting_row
+
+    @lru_cache(maxsize=1)
+    def rows(field, a):
+        built.append(a)
+        return _SlicedRow(real(field, a))
+
+    for module in (dickson, charsum):
+        monkeypatch.setattr(module, "splitting_row", rows)
+    monkeypatch.setattr(_SlicedRow, "slices", 0)
+    charsum._weil3_shift_tables.cache_clear()
+    from dicksonrs.cli import ExperimentConfig, run_suite
+
+    F = parse_field_spec(field)
+    report = run_suite(ExperimentConfig.from_text(f"field={field}\nsuites=charsum\nn=2..4"))
+    assert [inst.status for inst in report.suites[0].instances] == ["pass"] * 3 * (F.q - 1)
+    assert built == list(F.units())
+    assert _SlicedRow.slices == 0
 
 
 def test_library_loops_over_specs_hold_one_entry_per_memo():

@@ -167,11 +167,11 @@ def test_failing_deephole_crosscheck_report_is_written(monkeypatch, tmp_path, ca
 
 
 def test_unequal_weil3_rows_fail_the_pair_check(monkeypatch, tmp_path, capsys):
-    # the two shift rows agree in characteristic 2; negating one entry of
-    # the second must show up as a pair gap of 2 in the suite and one-shot
+    # the second route's row is the splitting row on F_q^* in characteristic 2;
+    # negating one entry of it must show up as a pair gap of 2 in the suite and one-shot
     real = charsum._weil3_shift_tables
     monkeypatch.setattr(charsum, "_weil3_shift_tables", lambda field, a: (
-        real(field, a)[0], (-real(field, a)[1][0],) + real(field, a)[1][1:]))
+        (-real(field, a)[0],) + real(field, a)[1:]))
     report = run_suite(ExperimentConfig(field="2^3", suites=("charsum",), n=(2,), a=(1,)))
     (inst,) = report.suites[0].instances
     assert inst.status == "fail" and inst.detail.endswith("pair_gap=2.000e+00")
@@ -271,6 +271,58 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES)
 def test_dump_json_matches_json_dumps(obj):
     assert cli._dump_json(obj) == _reference_json(obj)
+
+
+@st.composite
+def _records(draw):
+    """`cli.Records` with int and str columns under distinct str keys."""
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    cols = [draw(st.sampled_from([st.integers(), st.text()])) for _ in keys]
+    return cli.Records(tuple(keys), draw(st.lists(st.tuples(*cols), max_size=5)))
+
+
+def _as_dicts(obj):
+    """obj with each `cli.Records` replaced by its list of dicts: json.dumps's input."""
+    if type(obj) is cli.Records:
+        return [dict(zip(obj.keys, row)) for row in obj]
+    if type(obj) is dict:
+        return {k: _as_dicts(v) for k, v in obj.items()}
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(_records(), st.text(max_size=3))
+def test_dump_json_writes_records_as_json_dumps_writes_their_dicts(records, key):
+    for obj in (records, {key: records, "z": 1}):
+        assert cli._dump_json(obj) == _reference_json(_as_dicts(obj))
+
+
+@pytest.mark.parametrize("obj", [
+    cli.Records(("a%s", "%", "%%(x)s"), [(1, "50%", 2), (3, "%d", 4)]),
+    cli.Records(("s",), [("\u00e9\u2028\x00\n\t\"\\\U0001f600",), ("\x7f\x1f",)]),
+    {"r": cli.Records(("n", "m"), [(10**40, -(2**70)), (-1, 0)])},
+    cli.Records(("k",), []),
+], ids=lambda obj: repr(obj)[:40])
+def test_dump_json_writes_records_on_edge_cases(obj):
+    assert cli._dump_json(obj) == _reference_json(_as_dicts(obj))
+
+
+def test_preimage_report_holds_no_per_point_dict(monkeypatch, capsys):
+    # --all-x0 hands the writer the formula's tuples as Records, one list for
+    # every point, and the bytes stay json.dumps's text of one dict per point
+    seen, real = [], cli._dump_json
+
+    def dump_json(obj):
+        seen.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(cli, "_dump_json", dump_json)
+    assert main(["preimage", "--field", "7", "--n", "2", "--a", "1", "--all-x0"]) == 0
+    (doc,) = seen
+    reports = doc["reports"]
+    assert type(reports) is cli.Records and len(reports) == 7
+    assert not any(isinstance(row, dict) for row in reports)
+    assert capsys.readouterr().out == _reference_json(_as_dicts(doc))
 
 
 @pytest.mark.parametrize("obj", [
@@ -440,6 +492,27 @@ def test_suite_rejects_invalid_setting(setting, capsys):
     assert _exit_status(["suite", "--field", "7", "--suites", "valueset", *setting]) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--field", "2^16", "--n", "3", "--c1", "inf"],
+    ["region", "--field", "2^16", "--n", "3", "--c1", "nan"],
+    ["region", "--field", "2^16", "--n", "3", "--c1=-inf"],
+    ["suite", "--field", "7", "--suites", "region", "--n", "2", "--a", "1", "--c1", "nan"],
+    ["suite", "--field", "7", "--suites", "region", "--n", "2", "--a", "1", "--c1", "inf"],
+], ids=["region-inf", "region-nan", "region-neg-inf", "suite-nan", "suite-inf"])
+def test_a_non_finite_c1_exits_2_and_writes_nothing(argv, capsys):
+    # json.dumps would print Infinity or NaN, which is not JSON
+    assert _exit_status(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: c1 must be finite" in captured.err
+
+
+def test_a_config_with_a_non_finite_c1_exits_2(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text("field=7\nsuites=region\nn=2\na=1\nc1=nan\n")
+    assert main(["suite", "--config", str(tmp_path / "run.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: c1 must be finite, got nan" in captured.err
 
 
 def test_missing_word_source_or_field_exits_2(capsys):

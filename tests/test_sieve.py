@@ -336,6 +336,12 @@ def test_region_worked_example_endpoints():
     assert claim["discrepancy"] == (not claim["k_max_matches"] or not claim["gate_lhs_matches"])
 
 
+@pytest.mark.parametrize("c1", [float("inf"), float("nan"), float("-inf")])
+def test_region_refuses_a_non_finite_c1(c1):
+    with pytest.raises(ValueError, match="c1 must be finite"):
+        region_solve(65536, 3, 43691, c1)
+
+
 def test_region_tight_c1_reproduces_published_endpoints():
     # c1 = (n+2) sqrt(q) / (2|D|) = 640/43691 gives k_max = 21182 and c1*|D| = 640
     region = region_solve(65536, 3, 43691, 640 / 43691)
