@@ -222,7 +222,7 @@ def _weil3_shift_tables(field: FiniteField, a: int) -> tuple[int, ...]:
 
 
 # one entry each, for library loops over characters: each public call builds a fresh
-# CellSums (criterion 5: 3.0 s; 18.3 s without); a cell keeps its own reference
+# CellSums (criterion 5: 3.0 s; 18.3 s without)
 @lru_cache(maxsize=1)
 def _preimage_weights(spec: DicksonSpec) -> tuple[float, ...]:
     """1/N_x for every x, with N_x from the preimage-count formula."""
@@ -249,11 +249,11 @@ class CellSums:
     Each fixed input is read on first use: D (unless the caller passes it),
     D_n(x,a) for x in encoding order, the weighted identity's fiber defect,
     and the splitting row s, the one sign row: `split` is weil2 for odd q
-    and the first weil3 sum for even q.  The weights 1/N_x are read only by
-    `weighted`, the right side's value, which no check needs.  These
-    methods are the only summation code: `character_sum` calls them through
-    `SUMS` on the cached psi_b table, and the suites on the tables of
-    `characters_by_powers`.  Preconditions are left to `require_sum`.
+    and the first weil3 sum for even q.  These methods are the only
+    summation code of the checks: `character_sum` calls them through `SUMS`
+    on the cached psi_b table, and the suites on the tables of
+    `characters_by_powers`.  Only the oracle `weighted_sum` adds its own
+    terms.  Preconditions are left to `require_sum`.
     """
 
     def __init__(self, spec: DicksonSpec, D: EvaluationSet | None = None):
@@ -280,10 +280,6 @@ class CellSums:
         F, a = self.spec.field, self.spec.a
         return F.q % 2 == 1 or all(map(operator.eq, _weil3_shift_tables(F, a),
                                        islice(self.signs, 1, None)))
-
-    @cached_property
-    def weights(self) -> tuple[float, ...]:
-        return _preimage_weights(self.spec)
 
     @cached_property
     def defect(self) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -318,10 +314,6 @@ class CellSums:
             return r1, r1
         t_lin = _weil3_shift_tables(self.spec.field, self.spec.a)
         return r1, _report(sum(map(operator.mul, islice(row, 1, None), t_lin)), r1.terms, r1.bound)
-
-    def weighted(self, row) -> complex:
-        terms = map(operator.mul, row, self.weights)
-        return complex(fsum(terms) if self.spec.field.p == 2 else sum(terms))
 
     def identity(self, tab) -> float:
         """|sum_{y in D} psi(y) - sum_x psi(D_n(x,a))/N_x|, from the defect."""
@@ -391,9 +383,11 @@ def weil_sum_3(b: int, spec: DicksonSpec) -> tuple[CharSumReport, CharSumReport]
 
 
 def weighted_sum(psi: AdditiveCharacter, spec: DicksonSpec) -> complex:
-    """sum_x psi(D_n(x,a)) / N_x, the weighted identity's right side."""
-    cell = _cell(psi, spec)
-    return cell.weighted(cell.row(_psi_table(spec.field, psi.b)))
+    """sum_x psi(D_n(x,a)) / N_x, the weighted identity's right side, summed
+    term by term: the float oracle of the exact fiber defect."""
+    terms = map(operator.mul, _cell(psi, spec).row(_psi_table(spec.field, psi.b)),
+                _preimage_weights(spec))
+    return complex(fsum(terms) if spec.field.p == 2 else sum(terms))
 
 
 def weighted_identity_check(psi: AdditiveCharacter, D: EvaluationSet) -> float:

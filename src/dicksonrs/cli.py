@@ -281,22 +281,21 @@ def _charsum_worst(cell, tab) -> tuple[float, float, float]:
 def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     from .charsum import TOL_IDENTITY, TOL_SLACK, CellSums, characters_by_powers
 
-    out, cells = [], []
-    for params, spec, _ in _cells(cfg, F, out, lambda spec: F.elements()):  # the budget only
-        cells.append((len(out), params, spec))
-        out.append(None)  # filled in once every character has run on every cell
-    # one walk over the characters serves every cell.  Grouped by a, the cells
-    # share a's rows, and on the first character each one reads its inputs
-    # while the one-entry memos hold its spec and a
-    cells = [(slot, params, CellSums(spec))
-             for slot, params, spec in sorted(cells, key=lambda cell: cell[1]["a"])]
+    # the budget, F.elements(), depends on q alone: every cell is skipped or none is
+    out = []
+    cells = [(params, CellSums(spec))
+             for params, spec, _ in _cells(cfg, F, out, lambda spec: F.elements())]
+    # one walk over the characters serves every cell.  Walked grouped by a, the
+    # cells share a's rows, and on the first character each one reads its
+    # inputs while the one-entry memos hold its spec and a
+    by_a = sorted(range(len(cells)), key=lambda i: cells[i][0]["a"])
     worst = [(float("inf"), 0.0, 0.0)] * len(cells)
     for _, tab in characters_by_powers(F) if cells else ():
-        for i, (_, _, cell) in enumerate(cells):
-            slack, dev, gap = _charsum_worst(cell, tab)
+        for i in by_a:
+            slack, dev, gap = _charsum_worst(cells[i][1], tab)
             w_slack, w_dev, w_gap = worst[i]
             worst[i] = (min(w_slack, slack), max(w_dev, dev), max(w_gap, gap))
-    for (slot, params, cell), (slack, dev, gap) in zip(cells, worst):
+    for (params, cell), (slack, dev, gap) in zip(cells, worst):
         # the identity holds for every character iff the defect is empty; psi_0 = 1 adds its sum
         L, defect = cell.defect
         dev = max(dev, abs(sum(w for _, w in defect)) / L)
@@ -304,7 +303,7 @@ def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
         detail = f"worst_slack={slack:.3e} identity_dev={dev:.3e}"
         if gap:
             detail += f" pair_gap={gap:.3e}"
-        out[slot] = _checked(params, ok, detail)
+        out.append(_checked(params, ok, detail))
     return out
 
 
@@ -661,7 +660,10 @@ def _size_d(args, F: FiniteField) -> int:
 def _cmd_bound(args, F: FiniteField) -> tuple[dict, bool]:
     from .sieve import main_bound_check
 
-    return main_bound_check(F.q, args.n, _size_d(args, F), args.k)._asdict(), True
+    doc = main_bound_check(F.q, args.n, _size_d(args, F), args.k)._asdict()
+    # past the double range a side is null: log10_lhs and log10_rhs carry the comparison
+    doc.update((side, None) for side in ("lhs", "rhs") if not isfinite(doc[side]))
+    return doc, True
 
 
 def _cmd_region(args, F: FiniteField) -> tuple[dict, bool]:

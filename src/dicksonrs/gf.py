@@ -39,8 +39,9 @@ Euler's criterion x^((q-1)/2) through `pow`.
 Whole-field passes read two rows instead of a field op per point:
 `trace_form(c)`, the row x -> Tr(c*x) from m products (the trace table
 is its c = 1 case), and `unit_logs()`, the discrete log of every unit:
-the exp/log tables under the cap, one walk's lists above it, which the
-field does not keep.
+the field's own exp/log tables at every enumerable q, so a field walks g
+once however many rows read them.  Above the cap no single-element op
+reads or builds them.
 
 The default modulus is the smallest monic irreducible f of degree m, by
 Rabin's test with a unit test for its gcd step.  Once t^(p^m) = t mod f,
@@ -332,8 +333,8 @@ class FiniteField:
         The field's only add and mul: the public ops check their operands
         and call these, and inner loops whose operands were checked once at
         their entry call them directly.  Results are undefined on anything
-        but valid encodings.  Built on first use; tables are O(q) and only
-        exist under the table cap.
+        but valid encodings.  Built on first use; they read the O(q)
+        tables only under the table cap.
         """
         return self._kernels
 
@@ -458,11 +459,9 @@ class FiniteField:
         """(exp, log) over g = `primitive_element()`: exp[i] = g^i for
         i < 2(q-1) (the powers stored twice over) and log[x] = i for every
         unit x = g^i, log[0] = 0.  A whole-field row, so a ValueError past
-        q = 2^20: under the table cap these are the field's own tables;
-        above it one walk along g builds them for the caller's pass, and the
-        field keeps neither."""
+        q = 2^20; at every q within it these are the field's own tables."""
         self.elements()  # the enumeration budget
-        return self._tables if self.q <= _TABLE_Q_CAP else self._build_tables()
+        return self._tables
 
     # -- field invariants used throughout ------------------------------
 

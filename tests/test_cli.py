@@ -83,6 +83,17 @@ def test_bound_json_scales(capsys):
     assert doc["lhs"] > doc["rhs"] > 0
 
 
+def test_bound_past_the_double_range_is_strict_json(capsys):
+    # lhs and rhs overflow a double at k = 21182; the report must stay JSON
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    assert main(["bound", "--field", "2^16", "--n", "3", "--k", "21182"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert (doc["lhs"], doc["rhs"], doc["guaranteed"]) == (None, None, True)
+    assert doc["log10_lhs"] > doc["log10_rhs"]
+
+
 def test_deephole_word_and_poly_inputs(capsys):
     # the same word three ways: b1, polynomial literal, raw JSON values
     base = ["deephole", "--field", "7", "--n", "2", "--a", "1", "--k", "1"]
@@ -689,6 +700,26 @@ def test_charsum_suite_evaluates_each_cell_once(monkeypatch):
     report = run_suite(ExperimentConfig.from_text("field=2^6\nsuites=charsum\nn=2..3\na=1,2"))
     assert [i.status for i in report.suites[0].instances] == ["pass"] * 4
     assert cells == [(2, 1), (3, 1), (2, 2), (3, 2)]
+
+
+@pytest.mark.parametrize("argv", [
+    "charsum --field 2^6 --n 3 --a 1 --which weil3 --b 5",
+    "charsum --field 3^4 --n 2 --a 1 --which weil2 --b 5",
+    "suite --field 2^6 --suites valueset,preimage --n 2..3 --a 1,2",
+])
+def test_whole_field_passes_walk_once_per_field_above_the_table_cap(argv, monkeypatch, capsys):
+    # every field is above the cap, and each row (D_n's values, the splitting
+    # row, weil3's shift row) reads the unit logs the field keeps: one walk
+    from dicksonrs import dickson, gf
+
+    monkeypatch.setattr(gf, "_TABLE_Q_CAP", 1)
+    walks, real = [], gf.FiniteField._logs
+    monkeypatch.setattr(gf.FiniteField, "_logs",
+                        lambda field, exp: walks.append(field.q) or real(field, exp))
+    for memo in (dickson.values_vector, dickson.splitting_row, charsum._weil3_shift_tables):
+        memo.cache_clear()
+    assert main(shlex.split(argv)) == 0
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize("field, which", [

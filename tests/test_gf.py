@@ -496,11 +496,17 @@ def test_derived_values_are_cached_properties_built_on_first_read(spec):
     under_cap = F.q <= gf._TABLE_Q_CAP
     assert ("_tables" in vars(F)) == (under_cap and F.m > 1)
     assert ("_trace_tab" in vars(F)) == under_cap
-    # a whole-field pass reads the unit logs: the field's tables under the
-    # cap, and above it one walk's lists, which the field does not keep
+    # a whole-field pass reads the unit logs, the field's own tables at every q
     exp, log = F.unit_logs()
     assert (exp[1], exp[F.q - 1], log[exp[F.q // 3]]) == (F.primitive_element(), 1, F.q // 3)
-    assert ("_tables" in vars(F)) == under_cap
+    assert "_tables" in vars(F)
+
+
+def test_unit_logs_above_the_table_cap_are_walked_once():
+    F = FiniteField(2, 17)
+    exp, log = F.unit_logs()
+    again = F.unit_logs()
+    assert again[0] is exp and again[1] is log
 
 
 @pytest.mark.parametrize("q", [27, 25, 49])
