@@ -141,33 +141,29 @@ def _psi_table(field: FiniteField, b: int):
     return tuple(map(_roots_of_unity(field.p).__getitem__, field.trace_form(b)))
 
 
-def _gather(tab, index) -> list:
-    """tab[i] for every i in index, in order, in one C-level pass."""
-    return list(map(tab.__getitem__, index))
-
-
 def characters_by_powers(field: FiniteField):
     """(b, psi_b table) for every nontrivial b, in the order b = g^0, g^1,
     ..., g^(q-2) of the primitive element g.
 
     psi_{g*b}(y) = psi_b(g*y), so each table after psi_1's is one gather of
-    the one before through y -> g*y, tabulated once with the kernel mul;
-    it holds the same values as `_psi_table(field, b)`.
+    the one before through y -> g*y, a prebuilt `itemgetter` over q >= 2
+    indices; each table is a tuple of the same values as `_psi_table(field, b)`.
     """
     _, mul = field.kernels()
     g = field.primitive_element()
-    times_g = [mul(g, y) for y in field.elements()]
+    times_g = operator.itemgetter(*[mul(g, y) for y in field.elements()])
     b, tab = 1, _psi_table(field, 1)
     yield b, tab
     for _ in range(field.q - 2):
-        b, tab = mul(g, b), _gather(tab, times_g)
+        b, tab = mul(g, b), times_g(tab)
         yield b, tab
 
 
 def char_eval(psi: AdditiveCharacter, x: int) -> complex:
-    """psi_b(x) as a unit-modulus complex number (exact +-1 when p = 2)."""
-    psi.field._check(x)
-    return complex(_psi_table(psi.field, psi.b)[x])
+    """psi_b(x) as a unit-modulus complex number (exact +-1 when p = 2),
+    from the one trace Tr(b*x): no table, so any q is one point's work."""
+    F = psi.field
+    return complex(_roots_of_unity(F.p)[F.trace(F.mul(psi.b, x))])
 
 
 def _report(total, terms: int, bound: float, bound_applies: bool = True) -> CharSumReport:
@@ -266,8 +262,9 @@ class CellSums:
         return value_set(self.spec)
 
     @cached_property
-    def values(self) -> tuple[int, ...]:
-        return values_vector(self.spec)
+    def _row_gather(self) -> operator.itemgetter:
+        """tab -> tab[D_n(x,a)] for every x, over q >= 2 indices: a tuple."""
+        return operator.itemgetter(*values_vector(self.spec))
 
     @cached_property
     def signs(self) -> tuple[int, ...]:
@@ -286,13 +283,13 @@ class CellSums:
         """(L, support of w): the weighted identity holds iff the support is empty."""
         return _fiber_defect(self.spec)
 
-    def row(self, tab) -> list:
+    def row(self, tab) -> tuple:
         """psi_b(D_n(x,a)) for every x, in encoding order."""
-        return _gather(tab, self.values)
+        return self._row_gather(tab)
 
     def lemma(self, tab) -> CharSumReport:
         """sum_{y in D} psi(y) against the (n+1)*sqrt(q) estimate."""
-        total = sum(map(tab.__getitem__, self.D.elems))
+        total = sum([tab[y] for y in self.D.elems])  # |D| may be 1: no itemgetter
         return _report(total, self.D.size, (self.spec.n + 1) * sqrt(self.spec.field.q))
 
     def weil1(self, row) -> CharSumReport:

@@ -281,21 +281,16 @@ def _charsum_worst(cell, tab) -> tuple[float, float, float]:
 def _run_charsum(cfg: ExperimentConfig, F: FiniteField) -> list[InstanceResult]:
     from .charsum import TOL_IDENTITY, TOL_SLACK, CellSums, characters_by_powers
 
-    # the budget, F.elements(), depends on q alone: every cell is skipped or none is
+    # one cell at a time, in grid order: each walks the characters itself and is
+    # judged before the next is built, so only one cell's rows are ever alive; a
+    # changes from cell to cell, so each cell rebuilds its a's rows, O(q) each
     out = []
-    cells = [(params, CellSums(spec))
-             for params, spec, _ in _cells(cfg, F, out, lambda spec: F.elements())]
-    # one walk over the characters serves every cell.  Walked grouped by a, the
-    # cells share a's rows, and on the first character each one reads its
-    # inputs while the one-entry memos hold its spec and a
-    by_a = sorted(range(len(cells)), key=lambda i: cells[i][0]["a"])
-    worst = [(float("inf"), 0.0, 0.0)] * len(cells)
-    for _, tab in characters_by_powers(F) if cells else ():
-        for i in by_a:
-            slack, dev, gap = _charsum_worst(cells[i][1], tab)
-            w_slack, w_dev, w_gap = worst[i]
-            worst[i] = (min(w_slack, slack), max(w_dev, dev), max(w_gap, gap))
-    for (params, cell), (slack, dev, gap) in zip(cells, worst):
+    for params, spec, _ in _cells(cfg, F, out, lambda spec: F.elements()):
+        cell = CellSums(spec)
+        slack, dev, gap = float("inf"), 0.0, 0.0
+        for _, tab in characters_by_powers(F):
+            c_slack, c_dev, c_gap = _charsum_worst(cell, tab)
+            slack, dev, gap = min(slack, c_slack), max(dev, c_dev), max(gap, c_gap)
         # the identity holds for every character iff the defect is empty; psi_0 = 1 adds its sum
         L, defect = cell.defect
         dev = max(dev, abs(sum(w for _, w in defect)) / L)

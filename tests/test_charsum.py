@@ -6,6 +6,7 @@ Characteristic-2 sums are exact integers, so those comparisons are sharp.
 """
 
 import cmath
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -71,6 +72,20 @@ def test_char2_values_exact(grid_fields):
         F = grid_fields[q]
         psi = AdditiveCharacter(F, 3)
         assert {char_eval(psi, x) for x in F.elements()} <= {1 + 0j, -1 + 0j}
+
+
+@pytest.mark.parametrize("p, m", [(2, 21), (3, 13)])
+def test_char_eval_past_the_enumeration_budget_reads_one_trace(p, m):
+    # q > 2^20: no table may be built, and psi_b(x) is the p-th root of unity at Tr(b*x)
+    F = FiniteField(p, m)
+    misses = charsum._psi_table.cache_info().misses
+    for b, x in [(1, 5), (7, F.q - 1), (F.q - 2, 12345), (3, 0)]:
+        want = (1, -1)[F.trace(F.mul(b, x))] if p == 2 else \
+            cmath.exp(2j * cmath.pi * F.trace(F.mul(b, x)) / p)
+        assert char_eval(AdditiveCharacter(F, b), x) == complex(want)
+    assert charsum._psi_table.cache_info().misses == misses
+    with pytest.raises(ValueError):
+        char_eval(AdditiveCharacter(F, 1), F.q)
 
 
 def test_unit_modulus(grid_fields):
@@ -466,62 +481,80 @@ def test_walk_sums_are_bit_identical_to_single_b_functions(p, m):
 
 
 def _run_charsum_suite(monkeypatch, text):
-    """Run a charsum-only suite with every gather recorded: the table each
-    cell's rows read, and the table each walk step built, with each cell's
-    D_n(x, a) row as `CellSums.values` fetched it.  All are kept alive, so
-    their ids stay distinct."""
+    """Run a charsum-only suite with every table recorded: the tables each
+    walk over the characters yielded, and, per cell in grid order, the
+    tables its rows read.  All are kept alive, so their ids stay distinct."""
     from dicksonrs.cli import ExperimentConfig, run_suite
 
-    calls, values = [], []
+    walks, rows = [], {}
+    real_walk, real_row = charsum.characters_by_powers, CellSums.row
 
-    def gather(tab, index):
-        out = list(map(tab.__getitem__, index))
-        calls.append((index, tab, out))
-        return out
+    def walk(field):
+        walks.append([])
+        for b, tab in real_walk(field):
+            walks[-1].append(tab)
+            yield b, tab
 
-    def fetch(spec):
-        values.append(values_vector(spec))
-        return values[-1]
+    def row(cell, tab):
+        rows.setdefault(cell.spec, []).append(tab)
+        return real_row(cell, tab)
 
-    monkeypatch.setattr(charsum, "_gather", gather)
-    monkeypatch.setattr(charsum, "values_vector", fetch)
+    monkeypatch.setattr(charsum, "characters_by_powers", walk)
+    monkeypatch.setattr(CellSums, "row", row)
     charsum._psi_table.cache_clear()
     cfg = ExperimentConfig.from_text(text)
     report = run_suite(cfg)
     assert all(inst.status == "pass" for inst in report.suites[0].instances)
-    F = parse_field_spec(cfg.field)
-    rows = {id(row): [] for row in values}
-    walk = []
-    for index, tab, out in calls:
-        if id(index) in rows:
-            rows[id(index)].append(tab)
-        else:
-            walk.append(out)
-    return F, rows, walk
+    return parse_field_spec(cfg.field), walks, list(rows.values())
 
 
 def test_charsum_suite_builds_each_table_once_in_a_bounded_cache(monkeypatch):
-    # 2 * 63 (n, a) cells share one walk: _psi_table builds psi_1 alone (the
-    # identity's defect covers the trivial character), each of the other 62
-    # characters costs one gather, and each cell reads one row per character
-    F, rows, walk = _run_charsum_suite(monkeypatch, "field=2^6\nsuites=charsum\nn=2..3")
+    # 2 * 63 (n, a) cells, each with its own walk: _psi_table builds psi_1 once
+    # (the identity's defect covers the trivial character), each of the other
+    # 62 characters costs one gather per cell, and each cell reads one row per
+    # character, from a distinct table
+    F, walks, rows = _run_charsum_suite(monkeypatch, "field=2^6\nsuites=charsum\nn=2..3")
     info = charsum._psi_table.cache_info()
     assert info.misses == 1
     assert info.currsize <= charsum._PSI_CACHE_SIZE
-    assert len(walk) == F.q - 2
-    assert len(rows) == 2 * 63
-    assert all(len(tabs) == F.q - 1 for tabs in rows.values())
+    assert len(walks) == len(rows) == 2 * 63
+    psi_1 = charsum._psi_table(F, 1)
+    assert all(walk[0] is psi_1 and len(walk) == F.q - 1 for walk in walks)  # q - 2 steps
+    assert all(len({id(tab) for tab in tabs}) == len(tabs) == F.q - 1 for tabs in rows)
 
 
 def test_charsum_suite_composes_each_row_once(monkeypatch):
     # 31 characters on 2 cells; the weil1 and weil3 sums of one (character,
-    # cell) share a row, so each cell reads every table exactly once
-    F, rows, walk = _run_charsum_suite(monkeypatch, "field=2^5\nsuites=charsum\nn=2..3\na=1")
-    assert len(rows) == 2
-    walked = {id(tab) for tab in walk} | {id(charsum._psi_table(F, 1))}
-    for tabs in rows.values():
+    # cell) share a row, so each cell reads every table of its own walk
+    # exactly once, in the walk's order
+    F, walks, rows = _run_charsum_suite(monkeypatch, "field=2^5\nsuites=charsum\nn=2..3\na=1")
+    assert len(walks) == len(rows) == 2
+    for walk, tabs in zip(walks, rows):
         assert len(tabs) == 31
-        assert {id(tab) for tab in tabs} == walked
+        assert [id(tab) for tab in tabs] == [id(tab) for tab in walk]
+
+
+def test_charsum_suite_holds_one_cell_at_a_time(monkeypatch):
+    # each cell is judged and dropped before the next is built, so the
+    # suite's memory is one cell's rows whatever the grid
+    from dicksonrs.cli import ExperimentConfig, run_suite
+
+    live, seen = weakref.WeakSet(), []
+
+    class Recorded(CellSums):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.add(self)
+
+        def row(self, tab):
+            seen.append(len(live))
+            return super().row(tab)
+
+    monkeypatch.setattr(charsum, "CellSums", Recorded)
+    report = run_suite(ExperimentConfig.from_text("field=2^4\nsuites=charsum\nn=2..3\na=all"))
+    assert [inst.status for inst in report.suites[0].instances] == ["pass"] * 30
+    assert len(seen) == 30 * 15
+    assert max(seen) == 1
 
 
 class _SlicedRow(tuple):
@@ -537,7 +570,9 @@ class _SlicedRow(tuple):
 
 @pytest.mark.parametrize("field", ["2^5", "3^3"])
 def test_charsum_suite_builds_one_splitting_row_per_a_and_no_copy(field, monkeypatch):
-    # weil2, the weil3 pair's check, the defect's preimage counts: one row per a
+    # weil2, the weil3 pair's check, the defect's preimage counts: one row per
+    # cell, which all of them share.  The cells run in grid order (n-major), so
+    # a changes from each cell to the next and the one-entry memo rebuilds it
     from dicksonrs import dickson
 
     built, real = [], dickson.splitting_row
@@ -556,7 +591,7 @@ def test_charsum_suite_builds_one_splitting_row_per_a_and_no_copy(field, monkeyp
     F = parse_field_spec(field)
     report = run_suite(ExperimentConfig.from_text(f"field={field}\nsuites=charsum\nn=2..4"))
     assert [inst.status for inst in report.suites[0].instances] == ["pass"] * 3 * (F.q - 1)
-    assert built == list(F.units())
+    assert built == list(F.units()) * 3
     assert _SlicedRow.slices == 0
 
 

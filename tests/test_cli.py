@@ -673,20 +673,21 @@ def test_enumerating_suites_keep_one_values_vector_entry():
 
 @pytest.mark.parametrize("field, memo", [("2^4", "_weil3_shift_tables"), ("3^2", "splitting_row")])
 def test_charsum_suite_builds_each_a_row_once(field, memo):
-    # the suite reads its cells grouped by a, so every n of one a reads the one
-    # entry; in grid order (n-major) cells (2, a) and (3, a) lie q - 1 apart.
-    # For odd q the weil2 row and the fiber defect read the same splitting row
+    # the suite runs its cells in grid order (n-major), so a changes from each
+    # cell to the next: each cell builds its a's row once, and the one-entry
+    # memo holds one.  For odd q the weil2 row and the fiber defect read the
+    # same splitting row
     rows = getattr(charsum, memo)
     rows.cache_clear()
     report = run_suite(ExperimentConfig.from_text(f"field={field}\nsuites=charsum\nn=2..3\na=all"))
     assert all(i.status == "pass" for i in report.suites[0].instances)
     info = rows.cache_info()
-    assert (info.misses, info.currsize) == (dicksonrs.parse_field_spec(field).q - 1, 1)
+    assert (info.misses, info.currsize) == (2 * (dicksonrs.parse_field_spec(field).q - 1), 1)
 
 
 def test_charsum_suite_evaluates_each_cell_once(monkeypatch):
     # each cell reads its values and defect while the one-entry memo still
-    # holds its D_n row: one evaluation of D_n per cell, not three
+    # holds its D_n row: one evaluation of D_n per cell, not three, in grid order
     from dicksonrs import dickson
 
     cells, real = [], dickson._coefficients
@@ -699,7 +700,24 @@ def test_charsum_suite_evaluates_each_cell_once(monkeypatch):
     dickson.values_vector.cache_clear()
     report = run_suite(ExperimentConfig.from_text("field=2^6\nsuites=charsum\nn=2..3\na=1,2"))
     assert [i.status for i in report.suites[0].instances] == ["pass"] * 4
-    assert cells == [(2, 1), (3, 1), (2, 2), (3, 2)]
+    assert cells == [(2, 1), (2, 2), (3, 1), (3, 2)]
+
+
+def test_charsum_reads_a_one_point_value_set(capsys):
+    # q = 2, n = 3, a = 1: D = {0}, so the lemma sum reads a single element
+    # (an itemgetter over one index would return a scalar, not a row)
+    argv = "charsum --field 2 --n 3 --a 1 --which lemma --all-characters"
+    assert main(shlex.split(argv)) == 0
+    (rep,) = json.loads(capsys.readouterr().out)["reports"]
+    assert (rep["b"], rep["terms"], rep["sum"], rep["pass"]) == (1, 1, [1.0, 0.0], True)
+    assert main(shlex.split("suite --field 2 --suites charsum --n 2..5 --a all --format csv")) == 0
+    assert capsys.readouterr().out == (
+        "suite,q,n,a,k,b1,x0,check,status,detail\n"
+        "charsum,2,2,1,,,,,pass,worst_slack=1.414e+00 identity_dev=0.000e+00\n"
+        "charsum,2,3,1,,,,,pass,worst_slack=8.284e-01 identity_dev=0.000e+00\n"
+        "charsum,2,4,1,,,,,pass,worst_slack=4.243e+00 identity_dev=0.000e+00\n"
+        "charsum,2,5,1,,,,,pass,worst_slack=5.657e+00 identity_dev=0.000e+00\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -845,7 +863,10 @@ def test_preimage_reports_the_formula_domain_before_the_point(capsys):
                                           ("identity", "2^21")])
 @pytest.mark.parametrize("chars", [["--b", "1"], ["--all-characters"]], ids=["b1", "all"])
 def test_charsum_obeys_the_enumeration_budget(which, field, chars, monkeypatch, capsys):
-    monkeypatch.setattr(charsum, "_gather", _refuse)
+    # the walk may start, and meet the budget, but may yield no character
+    walk = charsum.characters_by_powers
+    monkeypatch.setattr(charsum, "characters_by_powers", lambda F: map(_refuse, walk(F)))
+    monkeypatch.setattr(charsum.CellSums, "row", _refuse)
     monkeypatch.setattr(dicksonrs.FiniteField, "trace", _refuse)
     n = "2" if field == "3^13" else "3"
     assert main(["charsum", "--field", field, "--n", n, "--a", "1", "--which", which,

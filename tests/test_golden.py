@@ -10,7 +10,10 @@ to `main`.  The two 2^3 suite CSVs were regenerated once the characteristic-2
 weighted sum became an `fsum`, which zeroed their charsum `identity_dev`s.
 `readme_charsum_7_identity.json` was regenerated once the weighted identity
 was read from its exact integer fiber defect: its deviations, rounding noise
-up to 2.3e-16 before, are 0.0.
+up to 2.3e-16 before, are 0.0.  `suite_3-3_charsum_all.csv` was generated
+before the charsum suite walked the characters once per cell: it pins the
+odd-characteristic worst slacks to the last bit of their printed digits,
+rounding noise such as `worst_slack=-3.553e-15` included.
 Any change to a decision, witness, count, float or key order shows up here.
 
 `{golden}` in a command stands for this directory; a command with `--out`
@@ -56,6 +59,8 @@ CASES = {
         "suite --field 2^2 --suites deephole --n 2..3 --a all --k 1 --format csv",
     # every runner, the "no degree-(k+1) words" skip and the region-gate skip
     "suite_2-3_all.csv": "suite --field 2^3 --suites all --n 2..3 --a all --k 1..4 --format csv",
+    # the charsum suite's worst slacks in odd characteristic, float noise and all
+    "suite_3-3_charsum_all.csv": "suite --field 3^3 --suites charsum --n 2..4 --a all --format csv",
     # the sieve's complex-valued sums in odd characteristic, and its |D| skip
     "suite_13_sieve.csv": "suite --field 13 --suites sieve --n 2..12 --a 1,2 --format csv",
     # a config file alone, then with flag overrides (and a DP-budget skip)
